@@ -1,8 +1,7 @@
 """Exact toolkit for labelled polyhedra, lattice counting and Weyl combinatorics.
 
-Everything is exact rational/big-integer arithmetic; the only numerics are
-int64 lattice scans in the counting kernels (see lpoly._kernels), selected
-between a numba jit and a pure-numpy path by the LPOLY_NO_NUMBA env flag.
+Everything is exact rational/big-integer arithmetic, and the package needs
+only the Python standard library.
 """
 
 from .counting import QuasiPolynomial, brion_evaluate, count_points, ehrhart_fit, toric_rr

@@ -1,190 +1,81 @@
 """Bounding-box lattice scans: the one hot loop in the package.
 
-Three interchangeable backends, all integer-exact:
-
-* a numba ``@njit`` loop (default when numba imports),
-* a chunked vectorized numpy path (``LPOLY_NO_NUMBA=1`` or no numba),
-* a big-int pure-Python scan used automatically when intermediate products
-  could overflow int64 (never at desk scale, kept for safety).
-
 A point mu passes label j when ``den[j] * <mu, V[j]> OP num[j]`` with OP
 chosen by ``ops[j]``: 0 means >=, 1 means >, 2 means ==.
+
+Both sides are integers, so every label becomes rows ``<mu, c> >= b``:
+``> n`` is ``>= n + 1`` and ``== n`` is ``>= n`` together with ``<= n``.
+The box is swept line by line along one axis.  Every other coordinate is
+enumerated; on a line each row bounds the swept coordinate x from one side
+(floor or ceiling division), or tests the line as a whole when it does not
+involve x, so the passing points form one integer interval of x.  Counting
+sums interval lengths and stores no points.  All arithmetic is on Python
+ints, so no input can overflow.
 """
 
 from __future__ import annotations
-
-import itertools
-import os
-
-import numpy as np
 
 OP_GE = 0
 OP_GT = 1
 OP_EQ = 2
 
-_FORCE_NUMPY = os.environ.get("LPOLY_NO_NUMBA", "") not in ("", "0")
 
-try:
-    if _FORCE_NUMPY:
-        raise ImportError
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-
-def _scan_numpy(lo, hi, V, num, den, ops):
-    k = lo.shape[0]
-    axes = [np.arange(lo[i], hi[i] + 1, dtype=np.int64) for i in range(k)]
-    chunks = []
-    first = axes[0]
-    for x0 in first:
-        grids = np.meshgrid(np.array([x0], dtype=np.int64), *axes[1:], indexing="ij")
-        pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-        lhs = (pts @ V.T) * den[np.newaxis, :]
-        ok = np.ones(pts.shape[0], dtype=bool)
-        for j in range(V.shape[0]):
-            if ops[j] == OP_GE:
-                ok &= lhs[:, j] >= num[j]
-            elif ops[j] == OP_GT:
-                ok &= lhs[:, j] > num[j]
-            else:
-                ok &= lhs[:, j] == num[j]
-        if ok.any():
-            chunks.append(pts[ok])
-    if not chunks:
-        return np.empty((0, k), dtype=np.int64)
-    return np.concatenate(chunks, axis=0)
+def _rows(V, num, den, ops):
+    """The labels as integer rows (c, b) meaning <mu, c> >= b."""
+    rows = []
+    for v, n, d, op in zip(V, num, den, ops):
+        c = [d * x for x in v]
+        rows.append((c, n + 1 if op == OP_GT else n))
+        if op == OP_EQ:
+            rows.append(([-x for x in c], -n))
+    return rows
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _scan_pass(lo, hi, V, num, den, ops, out):  # pragma: no cover - jitted
-        """Odometer scan; fills ``out`` when non-empty, returns the count."""
-        k = lo.shape[0]
-        n = V.shape[0]
-        mu = lo.copy()
-        collect = out.shape[0] > 0
-        cnt = 0
-        while True:
-            ok = True
-            for j in range(n):
-                s = np.int64(0)
-                for i in range(k):
-                    s += V[j, i] * mu[i]
-                lhs = den[j] * s
-                if ops[j] == 0:
-                    if lhs < num[j]:
-                        ok = False
-                        break
-                elif ops[j] == 1:
-                    if lhs <= num[j]:
-                        ok = False
-                        break
-                else:
-                    if lhs != num[j]:
-                        ok = False
-                        break
-            if ok:
-                if collect:
-                    for i in range(k):
-                        out[cnt, i] = mu[i]
-                cnt += 1
-            i = k - 1
-            while i >= 0:
-                mu[i] += 1
-                if mu[i] <= hi[i]:
-                    break
-                mu[i] = lo[i]
-                i -= 1
-            if i < 0:
-                break
-        return cnt
-
-    def _scan_numba(lo, hi, V, num, den, ops):
-        cnt = _scan_pass(lo, hi, V, num, den, ops, np.empty((0, len(lo)), np.int64))
-        out = np.empty((cnt, len(lo)), np.int64)
-        if cnt:
-            _scan_pass(lo, hi, V, num, den, ops, out)
-        return out
-
-    def _count_numba(lo, hi, V, num, den, ops):
-        return _scan_pass(lo, hi, V, num, den, ops, np.empty((0, len(lo)), np.int64))
-
-
-def _scan_bigint(lo, hi, V, num, den, ops):
+def _runs(lo, hi, rows):
+    """Yield (prefix, first, last) for every line of the box along its last
+    axis whose passing points are ``prefix + (x,)`` for first <= x <= last,
+    in lexicographic order of the prefix."""
     k = len(lo)
-    pts = []
-    for mu in itertools.product(*(range(int(lo[i]), int(hi[i]) + 1) for i in range(k))):
-        ok = True
-        for j in range(len(V)):
-            lhs = int(den[j]) * sum(int(V[j][i]) * mu[i] for i in range(k))
-            rhs = int(num[j])
-            if ops[j] == OP_GE:
-                ok = lhs >= rhs
-            elif ops[j] == OP_GT:
-                ok = lhs > rhs
-            else:
-                ok = lhs == rhs
-            if not ok:
-                break
-        if ok:
-            pts.append(mu)
-    return np.array(pts, dtype=np.int64).reshape(len(pts), k)
+    # lower bounds on x first, then upper bounds, then rows free of x; the
+    # sweep keeps each row's b - <prefix, c> in that order
+    rows = sorted(rows, key=lambda row: (row[0][-1] <= 0, row[0][-1] == 0))
+    ups = [c[-1] for c, _ in rows if c[-1] < 0]
+    lows = [c[-1] for c, _ in rows if c[-1] > 0]
+    n_bounds = len(lows) + len(ups)
+    cols = [[c[i] for c, _ in rows] for i in range(k - 1)]
+    x_lo, x_hi = lo[-1], hi[-1]
+
+    def sweep(i, prefix, b):
+        if i < k - 1:
+            col = cols[i]
+            for x in range(lo[i], hi[i] + 1):
+                yield from sweep(i + 1, prefix + (x,), [bj - cj * x for bj, cj in zip(b, col)])
+            return
+        if any(bj > 0 for bj in b[n_bounds:]):
+            return
+        first = max([x_lo, *(-(-bj // a) for a, bj in zip(lows, b))])
+        last = min([x_hi, *(bj // a for a, bj in zip(ups, b[len(lows):]))])
+        if first <= last:
+            yield prefix, first, last
+
+    return sweep(0, (), [b for _, b in rows])
 
 
-def _fits_int64(lo, hi, V, num, den):
-    bound = 1 << 62
-    coord = max((max(abs(int(a)), abs(int(b))) for a, b in zip(lo, hi)), default=0)
-    for j in range(len(V)):
-        worst = int(den[j]) * sum(abs(int(x)) for x in V[j]) * max(coord, 1)
-        if abs(worst) >= bound or abs(int(num[j])) >= bound:
-            return False
-    return True
-
-
-def _prepare(lo, hi, V, num, den):
-    lo = np.asarray(lo, dtype=object)
-    hi = np.asarray(hi, dtype=object)
-    if any(int(a) > int(b) for a, b in zip(lo, hi)):
-        return None
-    if not _fits_int64(lo, hi, V, num, den):
-        return "bigint"
-    return (
-        lo.astype(np.int64),
-        hi.astype(np.int64),
-        np.asarray(V, dtype=np.int64).reshape(len(V), len(lo)),
-        np.asarray(num, dtype=np.int64),
-        np.asarray(den, dtype=np.int64),
-    )
-
-
-def scan_box(lo, hi, V, num, den, ops):
-    """All integer points of the box satisfying every label constraint."""
-    prep = _prepare(lo, hi, V, num, den)
-    if prep is None:
-        return np.empty((0, len(lo)), dtype=np.int64)
-    if prep == "bigint":
-        return _scan_bigint(lo, hi, V, num, den, ops)
-    lo64, hi64, V64, num64, den64 = prep
-    ops64 = np.asarray(ops, dtype=np.int64)
-    if HAS_NUMBA:
-        return _scan_numba(lo64, hi64, V64, num64, den64, ops64)
-    return _scan_numpy(lo64, hi64, V64, num64, den64, ops64)
+def scan_box(lo, hi, V, num, den, ops) -> list[tuple[int, ...]]:
+    """All integer points of the box satisfying every label constraint, as
+    tuples in lexicographic order."""
+    return [
+        prefix + (x,)
+        for prefix, first, last in _runs(lo, hi, _rows(V, num, den, ops))
+        for x in range(first, last + 1)
+    ]
 
 
 def count_box(lo, hi, V, num, den, ops) -> int:
     """Count of integer box points satisfying every constraint (no points
-    materialized)."""
-    prep = _prepare(lo, hi, V, num, den)
-    if prep is None:
-        return 0
-    if prep == "bigint":
-        return len(_scan_bigint(lo, hi, V, num, den, ops))
-    lo64, hi64, V64, num64, den64 = prep
-    ops64 = np.asarray(ops, dtype=np.int64)
-    if HAS_NUMBA:
-        return int(_count_numba(lo64, hi64, V64, num64, den64, ops64))
-    return int(len(_scan_numpy(lo64, hi64, V64, num64, den64, ops64)))
+    materialized).  The count does not depend on the order of the axes, so
+    the sweep runs along the longest one: the fewest lines."""
+    axes = sorted(range(len(lo)), key=lambda i: hi[i] - lo[i])
+    rows = [([c[i] for i in axes], b) for c, b in _rows(V, num, den, ops)]
+    runs = _runs([lo[i] for i in axes], [hi[i] for i in axes], rows)
+    return sum(last - first + 1 for _, first, last in runs)

@@ -1,10 +1,12 @@
 """Lattice-point enumeration, Ehrhart quasi-polynomials, vertex localization.
 
-Counts are exact: a dilate's bounding box is scanned with integer-only
-kernels (see _kernels).  The Ehrhart fit solves small linear systems over
-the rationals, one per residue class, trying period candidates in divisor
-order; the fitted quasi-polynomial is verified against every available
-sample before being returned.
+Counts are exact: a dilate's bounding box is swept line by line with the
+pure-int kernel in _kernels.  A dilate takes its face lattice, hence its box,
+from P's, so P's lattice is built once however many dilates are counted.
+The Ehrhart fit solves small linear systems over the rationals, one per
+residue class, trying period candidates in divisor order; the fitted
+quasi-polynomial is verified against every available sample before being
+returned.
 """
 
 from __future__ import annotations
@@ -53,14 +55,8 @@ def _require_bounded(P: LabelledPolyhedron):
 
 def _box(Q: LabelledPolyhedron):
     verts = Q.vertices()
-    if not verts:
-        return None
-    k = Q.dim
-    lo, hi = [], []
-    for c in range(k):
-        coords = [v[c] for v in verts]
-        lo.append(math.ceil(min(coords)))
-        hi.append(math.floor(max(coords)))
+    lo = [math.ceil(min(v[c] for v in verts)) for c in range(Q.dim)]
+    hi = [math.floor(max(v[c] for v in verts)) for c in range(Q.dim)]
     return lo, hi
 
 
@@ -73,27 +69,30 @@ def _scan_setup(P: LabelledPolyhedron, m: int, region: str):
     if P.is_empty():
         return None
     Q = dilate(P, m)
-    box = _box(Q)
-    if box is None:
-        return None
+    if m == 0:
+        # 0*P is the origin, where every label is tight
+        lo = hi = [0] * P.dim
+        eq = range(len(P.labels))
+    else:
+        lo, hi = _box(Q)
+        eq = P.implicit_equalities()
     if region == "interior":
-        eq = Q.implicit_equalities() if m == 0 else P.implicit_equalities()
         ops = [OP_EQ if i in eq else OP_GT for i in range(len(Q.labels))]
     else:
         ops = [OP_GE] * len(Q.labels)
     V = [lab.v for lab in Q.labels]
     num = [lab.r.numerator for lab in Q.labels]
     den = [lab.r.denominator for lab in Q.labels]
-    return box[0], box[1], V, num, den, ops
+    return lo, hi, V, num, den, ops
 
 
 def lattice_points(P: LabelledPolyhedron, m: int = 1, region: str = "closed"):
-    """Integer points of the closed (or relatively open) dilate m*P."""
+    """Integer points of the closed (or relatively open) dilate m*P, as
+    tuples in lexicographic order."""
     setup = _scan_setup(P, m, region)
     if setup is None:
         return []
-    pts = scan_box(*setup)
-    return [tuple(int(x) for x in row) for row in pts]
+    return scan_box(*setup)
 
 
 def count_points(P: LabelledPolyhedron, m: int, region: str = "closed") -> int:

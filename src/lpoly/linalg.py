@@ -34,20 +34,14 @@ def is_primitive(v) -> bool:
     return vec_gcd(v) == 1
 
 
-def dot(a, b) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
-def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+def dot(a, b):
+    """Exact dot product: an ``int`` for integer vectors, a ``Fraction``
+    when either vector has ``Fraction`` entries."""
+    return sum(x * y for x, y in zip(a, b))
 
 
 def vsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(c, a):
-    return tuple(c * x for x in a)
 
 
 def clear_denominators(v) -> IntVec:
@@ -70,10 +64,6 @@ def mat_mul(a, b):
         [sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols)]
         for i in range(rows)
     ]
-
-
-def mat_vec(a, v):
-    return tuple(sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a)))
 
 
 def transpose(m):

@@ -92,6 +92,8 @@ class LabelledPolyhedron:
                 raise ValueError("label dimension mismatch")
         self._faces: list[Face] | None = None
         self._bounded: bool | None = None
+        # (P, m) when this is m*P with m > 0: faces and boundedness scale from P
+        self._dilated_from: tuple[LabelledPolyhedron, Fraction] | None = None
 
     def __repr__(self):
         return f"LabelledPolyhedron(dim={self.dim}, labels={list(self.labels)})"
@@ -134,7 +136,15 @@ class LabelledPolyhedron:
 
     def face_lattice(self) -> list[Face]:
         if self._faces is None:
-            self._faces = self._compute_faces()
+            if self._dilated_from is None:
+                self._faces = self._compute_faces()
+            else:
+                P, m = self._dilated_from
+                self._faces = [
+                    Face(f.tight, f.dim, f.affine_basis, tuple(m * x for x in f.sample),
+                         f.is_bounded)
+                    for f in P.face_lattice()
+                ]
         return self._faces
 
     def _compute_faces(self) -> list[Face]:
@@ -237,7 +247,10 @@ class LabelledPolyhedron:
 
     def is_bounded(self) -> bool:
         if self._bounded is None:
-            self._bounded = not self._recession_nontrivial(frozenset())
+            if self._dilated_from is None:
+                self._bounded = not self._recession_nontrivial(frozenset())
+            else:
+                self._bounded = self._dilated_from[0].is_bounded()
         return self._bounded
 
     def body_dim(self) -> int:
@@ -392,12 +405,19 @@ def intersect(P: LabelledPolyhedron, Q: LabelledPolyhedron) -> LabelledPolyhedro
 
 
 def dilate(P: LabelledPolyhedron, m) -> LabelledPolyhedron:
+    """m*P.  For m > 0 the faces of m*P are those of P with samples scaled by
+    m (same tight sets, dimensions, bases and boundedness), so m*P's face
+    lattice is taken from P's instead of recomputed; m = 0 collapses the
+    lattice and recomputes it."""
     m = Fraction(m)
     if m < 0:
         raise ValueError("dilation factor must be nonnegative")
-    return LabelledPolyhedron(
+    Q = LabelledPolyhedron(
         P.dim, [Label(lab.v, m * lab.r, weighted=lab.weighted) for lab in P.labels]
     )
+    if m > 0:
+        Q._dilated_from = (P, m)
+    return Q
 
 
 def is_subset(P: LabelledPolyhedron, Q: LabelledPolyhedron) -> bool:

@@ -171,10 +171,6 @@ def weyl_group(R: RootSystem):
     return list(zip(R.elements, R.lengths))
 
 
-def length_of(R: RootSystem, w: Matrix) -> int:
-    return R.lengths[R.elements.index(w)]
-
-
 def is_dominant(mu) -> bool:
     return all(x >= 0 for x in mu)
 
@@ -251,10 +247,6 @@ def wall_data(R: RootSystem, support):
         frontier = nxt
     w_sigma = max(seen, key=lambda w: R.lengths[R.elements.index(w)])
     return rho_sigma, w_sigma
-
-
-def _unit(k, i):
-    return tuple(1 if j == i else 0 for j in range(k))
 
 
 def support_of(mu) -> frozenset:

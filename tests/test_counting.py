@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from lpoly._kernels import OP_EQ, OP_GE, OP_GT, count_box, scan_box
 from lpoly.counting import (
     QuasiPolynomial,
     brion_evaluate,
@@ -255,3 +256,113 @@ def test_quasipolynomial_eval_residues():
     assert qp(4) == 3
     assert qp(5) == 3
     assert qp(-1) == 0
+
+
+# -- the line-sweep kernel against brute membership ---------------------------
+
+
+def _brute_box(lo, hi, V, num, den, ops):
+    import itertools
+
+    def passes(mu):
+        for v, n, d, op in zip(V, num, den, ops):
+            lhs = d * sum(a * x for a, x in zip(v, mu))
+            if op == OP_GE and not lhs >= n:
+                return False
+            if op == OP_GT and not lhs > n:
+                return False
+            if op == OP_EQ and lhs != n:
+                return False
+        return True
+
+    return [
+        mu for mu in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+        if passes(mu)
+    ]
+
+
+def test_kernel_matches_brute_random_boxes():
+    rng = random.Random(11)
+    for _ in range(400):
+        k = rng.randint(1, 4)
+        lo = [rng.randint(-5, 3) for _ in range(k)]
+        hi = [a + rng.randint(0, 5) for a in lo]
+        n = rng.randint(0, 5)
+        V = [[rng.choice((0, 0, 1, -1, 2, -3, 5)) for _ in range(k)] for _ in range(n)]
+        if V and rng.random() < 0.5:
+            V[0][-1] = 0  # a label the last axis does not move
+        num = [rng.randint(-20, 20) for _ in range(n)]
+        den = [rng.choice((1, 1, 2, 3, 7)) for _ in range(n)]
+        ops = [rng.choice((OP_GE, OP_GE, OP_GT, OP_EQ)) for _ in range(n)]
+        want = _brute_box(lo, hi, V, num, den, ops)
+        assert scan_box(lo, hi, V, num, den, ops) == want
+        assert count_box(lo, hi, V, num, den, ops) == len(want)
+
+
+def test_kernel_empty_box():
+    args = ([0, 3], [2, 1], [[1, 1]], [0], [1], [OP_GE])
+    assert scan_box(*args) == []
+    assert count_box(*args) == 0
+
+
+def test_kernel_beyond_int64():
+    # the box [2^63, 2^63 + 3] x [-2^64 - 1, -2^64 + 1] cut by x + y >= -2^63
+    # and 2x - 3y > 0: every product overflows 64-bit integers
+    big = 1 << 63
+    lo, hi = [big, -2 * big - 1], [big + 3, -2 * big + 1]
+    V, num, den = [[1, 1], [2, -3]], [-big + 1, 0], [1, 5]
+    ops = [OP_GE, OP_GT]
+    want = _brute_box(lo, hi, V, num, den, ops)
+    assert 0 < len(want) < 12
+    assert scan_box(lo, hi, V, num, den, ops) == want
+    assert count_box(lo, hi, V, num, den, ops) == len(want)
+    assert all(type(x) is int for pt in want for x in pt)
+
+
+def test_lattice_points_sorted_and_counted():
+    for P in (unit_cube(), egyptian_pyramid(), weighted_triangle(), half_interval(),
+              standard_simplex(3)):
+        for m in (0, 1, 2, 5):
+            for region in ("closed", "interior"):
+                pts = lattice_points(P, m, region)
+                assert len(pts) == count_points(P, m, region)
+                assert pts == sorted(set(pts))
+                assert all(type(x) is int for pt in pts for x in pt)
+
+
+def test_ehrhart_fit_builds_one_face_lattice(monkeypatch):
+    builds = []
+    real = LabelledPolyhedron._compute_faces
+
+    def counted(self):
+        builds.append(self)
+        return real(self)
+
+    monkeypatch.setattr(LabelledPolyhedron, "_compute_faces", counted)
+    P = egyptian_pyramid()
+    ehrhart_fit(P)
+    assert builds == [P]
+
+
+def test_import_needs_only_the_standard_library():
+    import os
+    import subprocess
+    import sys
+    import textwrap
+    from pathlib import Path
+
+    code = textwrap.dedent("""
+        import sys
+        import lpoly
+        from lpoly.polyhedra import LabelledPolyhedron, label
+        P = LabelledPolyhedron(1, [label(1, 0), label(-1, -3)])
+        print(lpoly.counting.count_points(P, 2), "numpy" in sys.modules)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["7", "False"]

@@ -358,3 +358,69 @@ def test_subset_and_equality(square):
     assert polyhedra.same_set(square, minimalize(
         LabelledPolyhedron(2, list(square.labels) + [label(1, 1, -1)])
     ))
+
+
+# -- dilates carry the face lattice over -------------------------------------
+
+DILATIONS = (1, 2, 3, 7, Fraction(5, 2))
+
+
+def _recomputed(Q):
+    return LabelledPolyhedron(Q.dim, Q.labels).face_lattice()
+
+
+def test_dilate_carries_face_lattice_acceptance_corpus():
+    from test_acceptance import corpus
+
+    for name, P in corpus():
+        for m in DILATIONS:
+            Q = polyhedra.dilate(P, m)
+            assert Q.face_lattice() == _recomputed(Q), (name, m)
+
+
+def test_dilate_carries_face_lattice_random_polytopes():
+    from lpoly import randgen
+
+    rng = random.Random(4)
+    for i in range(200):
+        P = randgen.random_lattice_polytope(rng, i % 3 + 1, full_dim=(i % 4 != 0))
+        for m in DILATIONS:
+            Q = polyhedra.dilate(P, m)
+            assert Q.face_lattice() == _recomputed(Q), (i, m)
+            assert Q.is_bounded()
+
+
+def test_dilate_carries_unbounded_faces():
+    # a quadrant cut by a slanted label: an unbounded polyhedron with
+    # bounded and unbounded faces
+    P = LabelledPolyhedron(2, [label(1, 0, 0), label(0, 1, 0), label(1, 2, 2)])
+    for m in DILATIONS:
+        Q = polyhedra.dilate(P, m)
+        got, want = Q.face_lattice(), _recomputed(Q)
+        assert [(f.tight, f.dim, f.affine_basis, f.is_bounded) for f in got] == [
+            (f.tight, f.dim, f.affine_basis, f.is_bounded) for f in want
+        ]
+        assert any(not f.is_bounded for f in got) and any(f.is_bounded for f in got)
+        for f in got:
+            assert Q.tight_at(f.sample) == f.tight
+        assert not Q.is_bounded()
+
+
+def test_dilate_by_zero_recomputes(monkeypatch):
+    P = egyptian_pyramid()
+    P.face_lattice()
+    builds = []
+    real = LabelledPolyhedron._compute_faces
+
+    def counted(self):
+        builds.append(self)
+        return real(self)
+
+    monkeypatch.setattr(LabelledPolyhedron, "_compute_faces", counted)
+    Q = polyhedra.dilate(P, 0)
+    faces = Q.face_lattice()
+    assert builds == [Q]
+    assert [(f.dim, f.sample) for f in faces] == [(0, (0, 0, 0))]
+    assert faces[0].tight == frozenset(range(len(P.labels)))
+    polyhedra.dilate(P, 3).face_lattice()
+    assert builds == [Q]
