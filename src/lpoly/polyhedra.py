@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from ._feasible import feasible_point
@@ -114,13 +115,28 @@ class LabelledPolyhedron:
         lab = self.labels[i]
         return linalg.dot(x, lab.v) - lab.r
 
+    def _slack_signs(self, x):
+        """Per label, an integer with the sign of its slack at ``x``.
+
+        ``x`` is scaled once to integers ``X`` by the lcm ``d`` of its
+        denominators, and label (v, r) gives ``r.den * <X, v> - r.num * d``,
+        which is ``slack * d * r.den``: no Fraction arithmetic.
+        """
+        try:
+            d = lcm(*(t.denominator for t in x))
+        except AttributeError:
+            raise TypeError("membership takes int or Fraction coordinates") from None
+        X = [t.numerator * (d // t.denominator) for t in x]
+        for lab in self.labels:
+            r = lab.r
+            yield r.denominator * sum(a * b for a, b in zip(X, lab.v)) - r.numerator * d
+
     def contains(self, x, region: str = "closed") -> bool:
         if region == "closed":
-            return all(self.slack(i, x) >= 0 for i in range(len(self.labels)))
+            return all(s >= 0 for s in self._slack_signs(x))
         if region == "interior":
             eq = self.implicit_equalities()
-            for i in range(len(self.labels)):
-                s = self.slack(i, x)
+            for i, s in enumerate(self._slack_signs(x)):
                 if i in eq:
                     if s != 0:
                         return False
@@ -130,7 +146,7 @@ class LabelledPolyhedron:
         raise ValueError(f"unknown region {region!r}")
 
     def tight_at(self, x) -> frozenset[int]:
-        return frozenset(i for i in range(len(self.labels)) if self.slack(i, x) == 0)
+        return frozenset(i for i, s in enumerate(self._slack_signs(x)) if s == 0)
 
     # -- face lattice ------------------------------------------------------
 
@@ -264,7 +280,8 @@ class LabelledPolyhedron:
             raise ValueError("empty polyhedron")
         d = max(f.dim for f in faces)
         tops = [f for f in faces if f.dim == d]
-        assert len(tops) == 1, "convex polyhedron has a unique maximal face"
+        if len(tops) != 1:
+            raise RuntimeError("convex polyhedron has no unique maximal face")
         return tops[0]
 
     def implicit_equalities(self) -> frozenset[int]:
@@ -449,7 +466,8 @@ def face_meet(P: LabelledPolyhedron, F1: Face, F2: Face) -> Face | None:
     if not candidates:
         return None
     top = max(candidates, key=lambda f: f.dim)
-    assert all(below(f, top) for f in candidates), "face intersection is a face"
+    if not all(below(f, top) for f in candidates):
+        raise RuntimeError("face intersection is not a face")
     return top
 
 

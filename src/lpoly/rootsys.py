@@ -181,8 +181,10 @@ def affine_action(R: RootSystem, w: Matrix, mu) -> tuple:
     return tuple(m - r for m, r in zip(moved, R.rho))
 
 
-def coroot_pairing(root: Root, mu) -> Fraction:
-    return sum((Fraction(p) * m for p, m in zip(root.coroot_pairing, mu)), Fraction(0))
+def coroot_pairing(root: Root, mu):
+    """<mu, coroot>: an ``int`` for an integer weight, a ``Fraction`` when
+    ``mu`` has ``Fraction`` entries."""
+    return sum(p * m for p, m in zip(root.coroot_pairing, mu))
 
 
 def is_regular(R: RootSystem, mu) -> bool:
@@ -301,8 +303,9 @@ def weyl_dimension(R: RootSystem, mu) -> int:
     num = Fraction(1)
     shifted = tuple(m + r for m, r in zip(mu, R.rho))
     for a in R.positive_roots:
-        num *= coroot_pairing(a, shifted) / coroot_pairing(a, R.rho)
-    assert num.denominator == 1
+        num *= Fraction(coroot_pairing(a, shifted), coroot_pairing(a, R.rho))
+    if num.denominator != 1:
+        raise RuntimeError("Weyl dimension formula gave a non-integer")
     return int(num)
 
 

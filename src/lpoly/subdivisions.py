@@ -5,7 +5,9 @@ Cells are labelled polyhedra (unbounded ones included).  Pairwise checks
 lean on an exact relint-sample argument: a nonnegative affine functional
 vanishing at a relative-interior point of a convex set vanishes on all of
 it, so an intersection is automatically inside the minimal closed face
-around its sample and only the reverse inclusion needs a feasibility test.
+around its sample and only the reverse inclusion needs a test.  That test
+reads the face's vertices and unbounded edges off the cell's face lattice
+when the cell has a vertex, and falls back to feasibility probes otherwise.
 """
 
 from __future__ import annotations
@@ -45,62 +47,121 @@ def _relint_rows(P: LabelledPolyhedron, F: Face):
     return rows
 
 
-def _interior_sample(P: LabelledPolyhedron):
+def _halfspace_key(lab: Label):
+    """The half-space of a label, independent of the label's scale."""
+    g = linalg.vec_gcd(lab.v)
+    return tuple(x // g for x in lab.v), lab.r / g
+
+
+def _interior_sample(P: LabelledPolyhedron, hints=()):
     """Relative-interior sample without computing the face lattice.
 
-    Classifies each label as implicit equality or not with one feasibility
-    probe per label, then solves with the equalities pinned and the rest
-    strict.  None when P is empty.
+    A label is an implicit equality iff no point of P makes it strict.  The
+    points of P among ``hints``, or one feasibility witness when there are
+    none, start a set of witnesses, and a label strict at a witness is not an
+    equality.  A label whose opposite half-space is also a label is one, and
+    labels cutting the same half-space are classified together.  The labels
+    left are probed together: the sum of their slacks is positive somewhere
+    on P iff one of them is strict there, so an infeasible probe proves them
+    all equalities, and a feasible one adds a witness strict on at least one
+    of them.  Every label that is not an equality ends strict at some
+    witness, so the average of the witnesses is strict on exactly those
+    labels: a relative-interior point.  None when P is empty.
     """
     base = _weak_rows(P)
-    if feasible_point(base, P.dim) is None:
-        return None
-    rows = []
-    for i, lab in enumerate(P.labels):
-        coeffs = lab.v
-        probe = base + [(coeffs, -lab.r, True)]
-        if feasible_point(probe, P.dim) is None:
-            rows.append((coeffs, -lab.r, False))
-            rows.append((tuple(-c for c in coeffs), lab.r, False))
-        else:
-            rows.append((coeffs, -lab.r, True))
-    return feasible_point(rows, P.dim)
+    witnesses = [p for p in hints if P.contains(p, "closed")]
+    if not witnesses:
+        w = feasible_point(base, P.dim)
+        if w is None:
+            return None
+        witnesses = [w]
+    keys = [_halfspace_key(lab) for lab in P.labels]
+    present = set(keys)
+    pending = dict.fromkeys(
+        key for key in keys if (tuple(-x for x in key[0]), -key[1]) not in present
+    )
 
+    def settle(p):
+        tight = P.tight_at(p)
+        for i, key in enumerate(keys):
+            if i not in tight:
+                pending.pop(key, None)
 
-def _rows_contain(rows, point) -> bool:
-    for coeffs, const, strict in rows:
-        val = sum(c * x for c, x in zip(coeffs, point)) + const
-        if val < 0 or (val == 0 and strict):
-            return False
-    return True
-
-
-def _is_face_of(Q_rows, q_sample, cell: LabelledPolyhedron) -> bool:
-    """Is the set Q (rows, with relint sample q, known subset of cell) a
-    closed face of the cell?
-
-    Q lies inside the minimal closed face of the cell at q; equality holds
-    iff that closed face satisfies Q's defining rows.
-    """
-    tight = cell.tight_at(q_sample)
-    fbar_rows = _weak_rows(cell)
-    for i in tight:
-        lab = cell.labels[i]
-        fbar_rows.append((tuple(-x for x in lab.v), lab.r, False))
-    for coeffs, const, strict in Q_rows:
-        probe = fbar_rows + [(tuple(-c for c in coeffs), -const, True)]
-        if feasible_point(probe, cell.dim) is not None:
-            return False
-    return True
+    for p in witnesses:
+        settle(p)
+    while pending:
+        coeffs = tuple(map(sum, zip(*(v for v, _ in pending))))
+        const = -sum(r for _, r in pending)
+        p = feasible_point(base + [(coeffs, const, True)], P.dim)
+        if p is None:
+            break
+        witnesses.append(p)
+        settle(p)
+    n = len(witnesses)
+    return tuple(sum(c) / n for c in zip(*witnesses))
 
 
 def _rows_hold_on(host_rows, check_rows, dim: int) -> bool:
-    """Does every row of ``check_rows`` hold everywhere on ``host_rows``?"""
-    for coeffs, const, strict in check_rows:
+    """Does every weak row of ``check_rows`` hold everywhere on ``host_rows``?
+
+    A row whose coefficients are those of a host row with no larger
+    constant holds trivially and needs no feasibility probe.
+    """
+    floor: dict = {}
+    for coeffs, const, _ in host_rows:
+        floor[coeffs] = min(const, floor.get(coeffs, const))
+    for coeffs, const, _ in check_rows:
+        if coeffs in floor and floor[coeffs] <= const:
+            continue
         probe = host_rows + [(tuple(-c for c in coeffs), -const, True)]
         if feasible_point(probe, dim) is not None:
             return False
     return True
+
+
+def _generators(cell: LabelledPolyhedron):
+    """Vertices and unbounded-edge directions of a cell, each with its tight
+    set, read off the face lattice; None when the cell has no vertex.
+
+    A cell with a vertex contains no line, and each of its closed faces is
+    then the convex hull of the vertices inside it plus the cone on the
+    directions of the unbounded edges inside it.  Directions are scaled to
+    integer vectors.
+    """
+    faces = cell.face_lattice()
+    verts = [(f.tight, f.sample) for f in faces if f.dim == 0]
+    if not verts:
+        return None
+    rays = []
+    for f in faces:
+        if f.dim == 1 and not f.is_bounded:
+            u = next(x for t, x in verts if t >= f.tight)
+            rays.append((f.tight, linalg.clear_denominators(
+                [a - b for a, b in zip(f.sample, u)])))
+    return verts, rays
+
+
+def _face_inside(cell: LabelledPolyhedron, gens, tight, other: LabelledPolyhedron) -> bool:
+    """Is the closed face of ``cell`` where the labels in ``tight`` bind
+    inside ``other``?
+
+    ``gens`` is ``_generators(cell)``.  The convex hull of points plus a cone
+    lies in ``other`` iff the points do and no label of ``other`` decreases
+    along a direction of the cone.  Without generators, one feasibility probe
+    per label of ``other``.
+    """
+    if gens is None:
+        fbar_rows = _weak_rows(cell)
+        for i in tight:
+            lab = cell.labels[i]
+            fbar_rows.append((tuple(-x for x in lab.v), lab.r, False))
+        return _rows_hold_on(fbar_rows, _weak_rows(other), cell.dim)
+    verts, rays = gens
+    return all(
+        other.contains(x, "closed") for t, x in verts if t >= tight
+    ) and all(
+        linalg.dot(lab.v, d) >= 0 for t, d in rays if t >= tight for lab in other.labels
+    )
 
 
 def _interest_box(S: Subdivision, pad: int = 1):
@@ -144,45 +205,54 @@ def validate(S: Subdivision, region: str = "all") -> Report:
         return rep
     tops = [c.top_face().sample for c in cells]
 
-    wrows = [_weak_rows(c) for c in cells]
+    gens = [_generators(c) for c in cells]
+    hints = [[f.sample for f in c.face_lattice()] for c in cells]
 
     # (a) every closed face of every cell is a cell.  For a candidate cell D
     # with relint sample inside the closed face: D is inside every tight
     # hyperplane for free (a bound achieved at a relint point of a convex
     # set is achieved identically), so only D-inside-cell and face-inside-D
-    # need feasibility probes.
+    # need checking.
     for ci, cell in enumerate(cells):
         for f in cell.face_lattice():
-            fbar_rows = list(wrows[ci])
-            for i in f.tight:
-                lab = cell.labels[i]
-                fbar_rows.append((tuple(-x for x in lab.v), lab.r, False))
             hit = False
             for cj, other in enumerate(cells):
                 if dims[cj] != f.dim:
                     continue
-                if not _rows_contain(fbar_rows, tops[cj]):
+                if not (cell.contains(tops[cj], "closed") and f.tight <= cell.tight_at(tops[cj])):
                     continue
                 if not other.contains(f.sample, "closed"):
                     continue
-                if _rows_hold_on(fbar_rows, wrows[cj], other.dim) and _rows_hold_on(
-                    wrows[cj], wrows[ci], other.dim
+                if _face_inside(cell, gens[ci], f.tight, other) and _face_inside(
+                    other, gens[cj], frozenset(), cell
                 ):
                     hit = True
                     break
             if not hit:
                 rep.fail(f"missing-face: cell {ci} face {sorted(f.tight)}")
 
-    # (b) pairwise intersections are closed faces of each
+    # (b) pairwise intersections are closed faces of each.  Q lies inside
+    # the minimal closed face of each cell around its relint sample q, so it
+    # is that face iff the face lies inside the other cell.  A Q that
+    # is a face of both cells with q in the relative interior of each is
+    # both cells: one cell listed twice.
+    equalities = [c.implicit_equalities() for c in cells]
     for ci in range(len(cells)):
         for cj in range(ci + 1, len(cells)):
             Q = intersect(cells[ci], cells[cj])
-            q = _interior_sample(Q)
+            q = _interior_sample(Q, hints[ci])
             if q is None:
                 continue  # empty intersection: the trivial common face
+            whole = True
             for ck, other in ((ci, cj), (cj, ci)):
-                if not _is_face_of(wrows[other], q, cells[ck]):
+                tight = cells[ck].tight_at(q)
+                if not _face_inside(cells[ck], gens[ck], tight, cells[other]):
                     rep.fail(f"bad-intersection: cells {ci} {cj} not a face of {ck}")
+                    whole = False
+                elif tight != equalities[ck]:
+                    whole = False
+            if whole:
+                rep.fail(f"duplicate-cell: cells {ci} {cj}")
 
     # (c) coverage of the region on a grid plus all face samples
     box = _interest_box(S)
@@ -296,7 +366,8 @@ def _cone_cell(R: RootSystem, apex, gens) -> LabelledPolyhedron:
         for i in range(len(gens)):
             ei = [Fraction(1 if j == i else 0) for j in range(len(gens))]
             u = linalg.solve(rows, ei)
-            assert u is not None
+            if u is None:
+                raise RuntimeError("cone generators are not linearly independent")
             ui = linalg.clear_denominators(u)
             labels.append(Label(ui, linalg.dot(apex, ui)))
     else:

@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -424,3 +429,43 @@ def test_dilate_by_zero_recomputes(monkeypatch):
     assert faces[0].tight == frozenset(range(len(P.labels)))
     polyhedra.dilate(P, 3).face_lattice()
     assert builds == [Q]
+
+
+def test_invariant_checks_survive_optimize_flag():
+    """Broken invariants raise RuntimeError even under ``python -O``."""
+    code = textwrap.dedent("""
+        from fractions import Fraction
+        from lpoly import linalg, polyhedra, rootsys, subdivisions
+        from lpoly.polyhedra import Face, LabelledPolyhedron, label
+
+        def check(name, thunk):
+            try:
+                thunk()
+            except RuntimeError:
+                print(name)
+
+        P = LabelledPolyhedron(1, [label(1, 0), label(-1, -1)])
+        ends = [Face(frozenset({i}), 0, (), (Fraction(i),), True) for i in (0, 1)]
+        P._faces = ends
+        check("top_face", P.top_face)
+        P._faces = ends + [Face(frozenset(), 0, (), (Fraction(1, 2),), True)]
+        check("face_meet", lambda: polyhedra.face_meet(P, P._faces[2], P._faces[2]))
+
+        R = rootsys.root_system("A2")
+        real_pairing = rootsys.coroot_pairing
+        rootsys.coroot_pairing = lambda a, mu: 2 if tuple(mu) == (1, 1) else 1
+        check("weyl_dimension", lambda: rootsys.weyl_dimension(R, (1, 0)))
+        rootsys.coroot_pairing = real_pairing
+
+        linalg.solve = lambda rows, rhs: None
+        check("cone_cell", lambda: subdivisions.dual_subdivision(R, (1, 1)))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["top_face", "face_meet", "weyl_dimension", "cone_cell"]

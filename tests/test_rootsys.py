@@ -222,6 +222,27 @@ def test_weyl_dimension():
     assert weyl_dimension(B2, (0, 0)) == 1
 
 
+def test_coroot_pairing_stays_exact():
+    """Integer weights pair in ``int``, rational ones in ``Fraction``, and
+    the Weyl dimension is an exact ``int``."""
+    for name in ("A2", "B2", "G2", "A3"):
+        R = root_system(name)
+        for mu in itertools.product(range(-2, 3), repeat=R.rank):
+            pairs = [rootsys.coroot_pairing(a, mu) for a in R.positive_roots]
+            assert all(type(p) is int for p in pairs)
+            want = [sum(Fraction(p) * m for p, m in zip(a.coroot_pairing, mu))
+                    for a in R.positive_roots]
+            assert pairs == want
+            assert rootsys.is_regular(R, mu) == all(w != 0 for w in want)
+            half = tuple(Fraction(m, 2) for m in mu)
+            assert [rootsys.coroot_pairing(a, half) for a in R.positive_roots] == [
+                w / 2 for w in want]
+            if is_dominant(mu):
+                dim = weyl_dimension(R, mu)
+                assert type(dim) is int and dim >= 1
+    assert weyl_dimension(root_system("G2"), (1, 0)) == 7
+
+
 def point_polytope(coords):
     k = len(coords)
     labs = []

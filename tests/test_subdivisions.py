@@ -3,10 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from lpoly._feasible import feasible_point
 from lpoly.polyhedra import LabelledPolyhedron, Label, intersect, label, same_set
 from lpoly.rootsys import principal_wall, root_system
 from lpoly.subdivisions import (
     Subdivision,
+    _face_inside,
+    _generators,
+    _interior_sample,
     dual_subdivision,
     euler_check,
     glue_count_check,
@@ -272,3 +276,182 @@ def test_wall_alternating_sums_a2():
         for tau in sums:
             expected = 1 if tau == principal else 0
             assert sums[tau] == expected, (name, tau, sums)
+
+
+# -- pairwise-intersection verdicts ------------------------------------------
+
+
+def point_cell(x):
+    return LabelledPolyhedron(1, [label(1, x), label(-1, -x)])
+
+
+def test_validate_bad_intersection_overlapping_segments():
+    cells = [segment(0, 2), segment(1, 3)] + [point_cell(x) for x in range(4)]
+    rep = validate(Subdivision(1, cells))
+    assert rep.lines == [
+        "cells: 6",
+        "bad-intersection: cells 0 1 not a face of 0",
+        "bad-intersection: cells 0 1 not a face of 1",
+        "bad-intersection: cells 0 3 not a face of 0",
+        "bad-intersection: cells 1 4 not a face of 1",
+        "uncovered: ('-1',)",
+        "uncovered: ('-2/7',)",
+        "uncovered: ('23/7',)",
+        "uncovered: ('4',)",
+    ]
+
+
+def test_validate_bad_intersection_foreign_a2_cell():
+    R = root_system("A2")
+    cells = list(dual_subdivision(R, (Fraction(3, 2), Fraction(5, 3))).cells)
+    cells[4] = dual_subdivision(R, (2, Fraction(5, 3))).cells[4]
+    rep = validate(Subdivision(2, cells), region="dominant")
+    assert rep.lines == [
+        "cells: 9",
+        "missing-face: cell 2 face [1]",
+        "missing-face: cell 4 face [0, 1, 2]",
+        "missing-face: cell 5 face [1]",
+        "bad-intersection: cells 2 4 not a face of 2",
+        "bad-intersection: cells 4 5 not a face of 5",
+    ]
+
+
+def test_validate_duplicate_cell():
+    R = root_system("A2")
+    S = dual_subdivision(R, (Fraction(3, 2), Fraction(5, 3)))
+    assert validate(S, region="dominant").ok
+    rep = validate(Subdivision(2, list(S.cells) + [S.cells[0]]), region="dominant")
+    assert rep.lines == ["cells: 10", "duplicate-cell: cells 0 9"]
+    # the same set under another label list is still the same cell
+    twin = LabelledPolyhedron(2, list(S.cells[6].labels) + [S.cells[6].labels[0]])
+    rep = validate(Subdivision(2, [twin] + list(S.cells)), region="dominant")
+    assert rep.lines == ["cells: 10", "duplicate-cell: cells 0 7"]
+    # and cells with lines (no vertex) go the same way
+    rep = validate(Subdivision(1, list(axis_split(1, 0, 0).cells) * 2))
+    assert rep.lines == [
+        "cells: 6", "duplicate-cell: cells 0 3", "duplicate-cell: cells 1 4",
+        "duplicate-cell: cells 2 5",
+    ]
+
+
+# -- relative-interior samples and face containment ----------------------------
+
+
+def dual_subdivision_pairs():
+    for name, lam in (
+        ("A2", (Fraction(3, 2), Fraction(5, 3))),
+        ("B2", (1, 2)),
+        ("A3", (1, Fraction(3, 2), 2)),
+    ):
+        S = dual_subdivision(root_system(name), lam)
+        for i, ci in enumerate(S.cells):
+            for cj in S.cells[i + 1:]:
+                yield ci, cj
+
+
+def probed_equalities(P):
+    """Labels no point of P makes strict: one feasibility probe per label."""
+    rows = [(lab.v, -lab.r, False) for lab in P.labels]
+    return frozenset(
+        i for i, lab in enumerate(P.labels)
+        if feasible_point(rows + [(lab.v, -lab.r, True)], P.dim) is None
+    )
+
+
+def test_interior_sample_dual_subdivision_pairs():
+    for ci, cj in dual_subdivision_pairs():
+        Q = intersect(ci, cj)
+        hints = [f.sample for f in ci.face_lattice()]
+        eq = probed_equalities(Q)
+        for q in (_interior_sample(Q), _interior_sample(Q, hints)):
+            assert Q.contains(q, "closed")
+            assert Q.tight_at(q) == eq
+
+
+def random_labels(rng, k, n):
+    labs = []
+    while len(labs) < n:
+        v = tuple(rng.randint(-3, 3) for _ in range(k))
+        if any(v):
+            labs.append(label(*v, Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))))
+    return labs
+
+
+def test_interior_sample_duplicated_and_opposite_labels():
+    rng = random.Random(53)
+    empty = 0
+    for _ in range(150):
+        k = rng.randint(1, 3)
+        labs = random_labels(rng, k, rng.randint(1, k + 3))
+        for _ in range(rng.randint(0, 3)):
+            lab = rng.choice(labs)
+            labs.append(rng.choice((
+                lab,
+                lab.flipped(),
+                Label(tuple(2 * x for x in lab.v), 2 * lab.r, weighted=True),
+                Label(tuple(-3 * x for x in lab.v), -3 * lab.r, weighted=True),
+            )))
+        rng.shuffle(labs)
+        P = LabelledPolyhedron(k, labs)
+        hints = [tuple(Fraction(rng.randint(-9, 9), 3) for _ in range(k)) for _ in range(4)]
+        for q in (_interior_sample(P), _interior_sample(P, hints)):
+            if P.is_empty():
+                assert q is None
+            else:
+                assert P.contains(q, "closed")
+                assert P.tight_at(q) == P.implicit_equalities()
+        empty += P.is_empty()
+    assert 0 < empty < 150
+
+
+def test_face_inside_generators_match_probes():
+    """Faces tested at vertices and unbounded edges agree with the
+    feasibility probes on bounded and unbounded pointed cells."""
+    rng = random.Random(59)
+    R = root_system("A2")
+    cells = list(dual_subdivision(R, (Fraction(3, 2), Fraction(5, 3))).cells)
+    cells += [egyptian_pyramid(), unit_square()]
+    others = cells + [
+        LabelledPolyhedron(k, random_labels(rng, k, rng.randint(1, 4)))
+        for k in (2, 2, 2, 3, 3, 3) for _ in range(4)
+    ]
+    checked = inside = 0
+    for cell in cells:
+        gens = _generators(cell)
+        assert gens is not None
+        for other in others:
+            if other.dim != cell.dim:
+                continue
+            for f in cell.face_lattice():
+                got = _face_inside(cell, gens, f.tight, other)
+                assert got == _face_inside(cell, None, f.tight, other)
+                checked += 1
+                inside += got
+    assert 0 < inside < checked
+
+
+# -- integer membership -------------------------------------------------------
+
+
+def test_integer_membership_matches_slack():
+    rng = random.Random(61)
+    for _ in range(120):
+        k = rng.randint(1, 3)
+        labs = random_labels(rng, k, rng.randint(1, k + 3))
+        labs.append(Label(tuple(2 * x for x in labs[0].v), 2 * labs[0].r + 1, weighted=True))
+        P = LabelledPolyhedron(k, labs)
+        points = [tuple(Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 7)))
+                        for _ in range(k)) for _ in range(15)]
+        points += [tuple(rng.randint(-4, 4) for _ in range(k)) for _ in range(5)]
+        points += [f.sample for f in P.face_lattice()]
+        eq = P.implicit_equalities() if not P.is_empty() else frozenset()
+        n = len(P.labels)
+        for x in points:
+            slacks = [P.slack(i, x) for i in range(n)]
+            assert P.contains(x, "closed") == all(s >= 0 for s in slacks)
+            assert P.tight_at(x) == frozenset(i for i in range(n) if slacks[i] == 0)
+            if not P.is_empty():
+                assert P.contains(x, "interior") == all(
+                    (s == 0) if i in eq else (s > 0) for i, s in enumerate(slacks))
+    with pytest.raises(TypeError):
+        P.contains((0.5,) * P.dim, "closed")
