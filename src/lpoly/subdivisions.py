@@ -47,26 +47,19 @@ def _relint_rows(P: LabelledPolyhedron, F: Face):
     return rows
 
 
-def _halfspace_key(lab: Label):
-    """The half-space of a label, independent of the label's scale."""
-    g = linalg.vec_gcd(lab.v)
-    return tuple(x // g for x in lab.v), lab.r / g
-
-
 def _interior_sample(P: LabelledPolyhedron, hints=()):
     """Relative-interior sample without computing the face lattice.
 
     A label is an implicit equality iff no point of P makes it strict.  The
     points of P among ``hints``, or one feasibility witness when there are
     none, start a set of witnesses, and a label strict at a witness is not an
-    equality.  A label whose opposite half-space is also a label is one, and
-    labels cutting the same half-space are classified together.  The labels
-    left are probed together: the sum of their slacks is positive somewhere
-    on P iff one of them is strict there, so an infeasible probe proves them
-    all equalities, and a feasible one adds a witness strict on at least one
-    of them.  Every label that is not an equality ends strict at some
-    witness, so the average of the witnesses is strict on exactly those
-    labels: a relative-interior point.  None when P is empty.
+    equality, while a label whose exact opposite is also a label is one.
+    The labels left are probed together: the sum of their slacks is positive
+    somewhere on P iff one of them is strict there, so an infeasible probe
+    proves them all equalities, and a feasible one adds a witness strict on
+    at least one of them.  Every label that is not an equality ends strict
+    at some witness, so the average of the witnesses is strict on exactly
+    those labels: a relative-interior point.  None when P is empty.
     """
     base = _weak_rows(P)
     witnesses = [p for p in hints if P.contains(p, "closed")]
@@ -75,44 +68,26 @@ def _interior_sample(P: LabelledPolyhedron, hints=()):
         if w is None:
             return None
         witnesses = [w]
-    keys = [_halfspace_key(lab) for lab in P.labels]
-    present = set(keys)
-    pending = dict.fromkeys(
-        key for key in keys if (tuple(-x for x in key[0]), -key[1]) not in present
-    )
-
-    def settle(p):
-        tight = P.tight_at(p)
-        for i, key in enumerate(keys):
-            if i not in tight:
-                pending.pop(key, None)
-
+    present = set(P.labels)
+    pending = {i for i, lab in enumerate(P.labels) if lab.flipped() not in present}
     for p in witnesses:
-        settle(p)
+        pending.intersection_update(P.tight_at(p))
     while pending:
-        coeffs = tuple(map(sum, zip(*(v for v, _ in pending))))
-        const = -sum(r for _, r in pending)
+        labs = [P.labels[i] for i in pending]
+        coeffs = tuple(map(sum, zip(*(lab.v for lab in labs))))
+        const = -sum(lab.r for lab in labs)
         p = feasible_point(base + [(coeffs, const, True)], P.dim)
         if p is None:
             break
         witnesses.append(p)
-        settle(p)
+        pending.intersection_update(P.tight_at(p))
     n = len(witnesses)
     return tuple(sum(c) / n for c in zip(*witnesses))
 
 
 def _rows_hold_on(host_rows, check_rows, dim: int) -> bool:
-    """Does every weak row of ``check_rows`` hold everywhere on ``host_rows``?
-
-    A row whose coefficients are those of a host row with no larger
-    constant holds trivially and needs no feasibility probe.
-    """
-    floor: dict = {}
-    for coeffs, const, _ in host_rows:
-        floor[coeffs] = min(const, floor.get(coeffs, const))
-    for coeffs, const, _ in check_rows:
-        if coeffs in floor and floor[coeffs] <= const:
-            continue
+    """Does every row of ``check_rows`` hold everywhere on ``host_rows``?"""
+    for coeffs, const, strict in check_rows:
         probe = host_rows + [(tuple(-c for c in coeffs), -const, True)]
         if feasible_point(probe, dim) is not None:
             return False

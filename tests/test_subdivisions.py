@@ -404,6 +404,20 @@ def test_interior_sample_duplicated_and_opposite_labels():
     assert 0 < empty < 150
 
 
+def test_interior_sample_mirror_labels_are_not_opposites():
+    """Only an exact opposite (-v, -r) pins a label: the strip -1 <= x <= 1
+    has labels (1, -1) and (-1, -1), neither an equality, while the point
+    x = 1 is cut out by a real opposite pair, one half listed twice."""
+    strip = LabelledPolyhedron(1, [label(1, -1), label(-1, -1)])
+    for hints in ((), [(Fraction(-1),)], [(Fraction(1),)]):
+        q = _interior_sample(strip, hints)
+        assert strip.tight_at(q) == frozenset()
+    point = LabelledPolyhedron(1, [label(1, 0), label(-1, -1), label(1, 1), label(-1, -1)])
+    q = _interior_sample(point, [(Fraction(1),)])
+    assert q == (Fraction(1),)
+    assert point.tight_at(q) == point.implicit_equalities() == frozenset({1, 2, 3})
+
+
 def test_face_inside_generators_match_probes():
     """Faces tested at vertices and unbounded edges agree with the
     feasibility probes on bounded and unbounded pointed cells."""
