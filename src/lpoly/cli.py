@@ -86,6 +86,23 @@ def _root_system(args) -> rootsys.RootSystem:
         raise CliInputError(str(e)) from None
 
 
+def _check_args(args):
+    """Reject negative counts and, for the weyl verbs, weights whose length
+    is not the rank; parsed weights replace their text on ``args``."""
+    for name in ("pairs", "samples", "count"):
+        if getattr(args, name, 0) < 0:
+            raise CliInputError(f"--{name} must be nonnegative")
+    if args.verb == "weyl":
+        for flag, name in (("--mu", "mu"), ("--lambda", "lam")):
+            if getattr(args, name, None) is not None:
+                weight = _csv_ints(getattr(args, name))
+                rank = _root_system(args).rank
+                if len(weight) != rank:
+                    raise CliInputError(
+                        f"{flag} needs {rank} entries for {args.type}, got {len(weight)}")
+                setattr(args, name, weight)
+
+
 def _emit(report: Report) -> int:
     print(report.render())
     return 0 if report.ok else 1
@@ -232,15 +249,14 @@ def _word_to_element(R, word: str):
 
 def cmd_weyl_action(args) -> int:
     R = _root_system(args)
-    mu = _csv_ints(args.mu)
     w = _word_to_element(R, args.word)
-    print(f"result: {_fmt_point(rootsys.affine_action(R, w, mu))}")
+    print(f"result: {_fmt_point(rootsys.affine_action(R, w, args.mu))}")
     return 0
 
 
 def cmd_weyl_induce(args) -> int:
     R = _root_system(args)
-    sign, dom = rootsys.induce(R, _csv_ints(args.mu))
+    sign, dom = rootsys.induce(R, args.mu)
     if sign == 0:
         print("0")
     else:
@@ -250,13 +266,13 @@ def cmd_weyl_induce(args) -> int:
 
 def cmd_weyl_star(args) -> int:
     R = _root_system(args)
-    print(_fmt_point(rootsys.star(R, _csv_ints(args.mu))))
+    print(_fmt_point(rootsys.star(R, args.mu)))
     return 0
 
 
 def cmd_weyl_reflect(args) -> int:
     R = _root_system(args)
-    out = rootsys.reflect(R, _csv_ints(args.lam))
+    out = rootsys.reflect(R, args.lam)
     if out is None:
         print("none")
     else:
@@ -532,6 +548,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        _check_args(args)
         return args.func(args)
     except CliInputError as e:
         print(f"error: {e}", file=sys.stderr)

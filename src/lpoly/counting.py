@@ -203,19 +203,19 @@ def _zpow(z, w) -> Fraction:
 
 
 def edge_directions(P: LabelledPolyhedron, vertex: Face):
-    """Primitive directions of the edges leaving a vertex."""
+    """Primitive directions of the edges leaving a vertex: toward the edge's
+    other vertex, or along its ray."""
+    gens = P.generators()
     dirs = []
     for f in P.face_lattice():
         if f.dim != 1 or not (vertex.tight >= f.tight):
             continue
-        u = linalg.kernel_basis([P.labels[i].v for i in sorted(f.tight)], cols=P.dim)
-        assert len(u) == 1
-        u = u[0]
-        c = next(i for i in range(P.dim) if u[i] != 0)
-        t = (f.sample[c] - vertex.sample[c]) / u[c]
-        if t < 0:
-            u = tuple(-x for x in u)
-        dirs.append(u)
+        points, rays, _ = gens.of_face(f.tight)
+        ends = [x for _, x in points if x != vertex.sample]
+        if ends:
+            dirs.append(linalg.clear_denominators(linalg.vsub(ends[0], vertex.sample)))
+        else:
+            dirs.append(rays[0][1])
     return dirs
 
 
@@ -275,7 +275,8 @@ def localized_vertex_multiplicity(P: LabelledPolyhedron, m: int, xi):
         pairings[f.tight] = ps
     values = [(linalg.dot(f.sample, xi), f) for f in verts]
     values.sort(key=lambda t: t[0])
-    assert len(values) == 1 or values[0][0] != values[1][0], "minimum must be unique"
+    if len(values) > 1 and values[0][0] == values[1][0]:
+        raise RuntimeError("minimum must be unique")
     nu = values[0][1].sample
     count = sum(1 for f in verts if all(p < 0 for p in pairings[f.tight]))
     return nu, count

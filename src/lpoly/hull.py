@@ -59,7 +59,8 @@ def hull_of_points(ambient_dim: int, points):
     coords = []
     for p in pts:
         c = linalg.solve(dmat, list(linalg.vsub(p, base)))
-        assert c is not None
+        if c is None:
+            raise RuntimeError("point outside the affine hull of the frame")
         coords.append(c)
 
     facets = set()
@@ -81,7 +82,8 @@ def hull_of_points(ambient_dim: int, points):
         # pull the frame normal back to an ambient label: any w with
         # <dirs_j, w> = n_j gives the same functional on the affine hull
         w = linalg.solve(pairing_rows, list(n))
-        assert w is not None
+        if w is None:
+            raise RuntimeError("frame normal has no ambient label")
         scale = 1
         for x in w:
             den = Fraction(x).denominator
@@ -95,5 +97,6 @@ def hull_of_points(ambient_dim: int, points):
     P = LabelledPolyhedron(k, labels)
     verts = [f.sample for f in P.face_lattice() if f.dim == 0]
     vert_set = set(verts)
-    assert vert_set <= set(pts)
+    if not vert_set <= set(pts):
+        raise RuntimeError("hull vertex is not an input point")
     return P, sorted(vert_set)

@@ -166,14 +166,13 @@ def solve(a, b) -> Vec | None:
     return tuple(x)
 
 
-def solve_affine(a, b):
-    """Solution set of ``a x = b`` as (particular, kernel basis), or None."""
-    if not a:
-        raise ValueError("solve_affine needs at least one row")
-    x0 = solve(a, b)
-    if x0 is None:
+def solve_unique(a, b) -> Vec | None:
+    """The solution of ``a x = b`` when there is exactly one, else None."""
+    ncols = len(a[0])
+    red, pivots = _rref([list(row) + [bb] for row, bb in zip(a, b)])
+    if pivots != list(range(ncols)):
         return None
-    return x0, kernel_basis(a)
+    return tuple(red[c][-1] for c in range(ncols))
 
 
 def _swap_rows(m, i, j):

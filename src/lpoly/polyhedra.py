@@ -6,17 +6,20 @@ label list itself is the identity of the object: duplicate and redundant
 labels are meaningful (they change tight sets, excess and structure groups),
 so nothing here ever silently rewrites the list.
 
-All face computations are exact.  Faces are enumerated by scanning linearly
-independent tight-candidate subsets and certifying each candidate with an
-exact relative-interior point, which copes with duplicated labels, redundant
-labels, lower-dimensional and unbounded polyhedra alike.
+All face computations are exact and start from P's generators: the points
+of its minimal faces, the extreme rays of its recession cone and its
+lineality space, P = conv(points) + cone(rays) + lineality.  Each face is
+the closure of the generators its tight labels bind on, which copes with
+duplicated labels, redundant labels, lower-dimensional, unbounded and
+line-containing polyhedra alike.
 """
-
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from . import linalg
 from ._feasible import feasible_point
@@ -70,6 +73,27 @@ class Face:
         return (tuple(sorted(self.tight)), self.sample)
 
 
+class Generators(NamedTuple):
+    """P = conv(points) + cone(rays) + span(lineality).
+
+    Each point, the one of a minimal face orthogonal to the lineality space,
+    comes with the labels tight at it; each ray, a primitive integer vector,
+    with the labels it pairs to zero.
+    """
+
+    points: tuple[tuple[frozenset[int], Point], ...]
+    rays: tuple[tuple[frozenset[int], tuple[int, ...]], ...]
+    lineality: tuple[tuple[int, ...], ...]
+
+    def of_face(self, tight) -> "Generators":
+        """Generators of the closed face where the labels in ``tight`` bind."""
+        return Generators(
+            tuple(g for g in self.points if g[0] >= tight),
+            tuple(g for g in self.rays if g[0] >= tight),
+            self.lineality,
+        )
+
+
 @dataclass(frozen=True)
 class ExcessPiece:
     excess: int
@@ -92,8 +116,8 @@ class LabelledPolyhedron:
             if len(lab.v) != self.dim:
                 raise ValueError("label dimension mismatch")
         self._faces: list[Face] | None = None
-        self._bounded: bool | None = None
-        # (P, m) when this is m*P with m > 0: faces and boundedness scale from P
+        self._gens: Generators | None = None
+        # (P, m) when this is m*P with m > 0: faces and generators scale from P
         self._dilated_from: tuple[LabelledPolyhedron, Fraction] | None = None
 
     def __repr__(self):
@@ -148,7 +172,61 @@ class LabelledPolyhedron:
     def tight_at(self, x) -> frozenset[int]:
         return frozenset(i for i, s in enumerate(self._slack_signs(x)) if s == 0)
 
-    # -- face lattice ------------------------------------------------------
+    # -- generators and face lattice ----------------------------------------
+
+    def generators(self) -> Generators:
+        if self._gens is None:
+            if self._dilated_from is None:
+                self._gens = self._compute_generators()
+            else:
+                P, m = self._dilated_from
+                g = P.generators()
+                points = tuple((t, tuple(m * x for x in p)) for t, p in g.points)
+                self._gens = Generators(points, g.rays, g.lineality)
+        return self._gens
+
+    def _compute_generators(self) -> Generators:
+        """Points of the minimal faces, extreme rays and the lineality space.
+
+        With r the rank of the label vectors and L their common kernel, a
+        minimal face is a translate of L on which r independent labels bind:
+        each r-subset of labels, solved together with <x, l> = 0 for L's
+        basis, gives that face's point orthogonal to L, kept when it lies in
+        P.  Each (r-1)-subset plus L's basis leaves a line, an extreme ray of
+        the recession cone when it pairs >= 0 (or, negated, <= 0) with every
+        label.  A subset inside the tight set of a generator already found
+        gives that generator again and is skipped.
+        """
+        k, n = self.dim, len(self.labels)
+        vs = [lab.v for lab in self.labels]
+        lin = tuple(linalg.kernel_basis(vs, cols=k))
+        r = k - len(lin)
+        points = []
+        for T in itertools.combinations(range(n), r):
+            if any(t.issuperset(T) for t, _ in points):
+                continue
+            rhs = [self.labels[i].r for i in T] + [0] * len(lin)
+            x = linalg.solve_unique([vs[i] for i in T] + list(lin), rhs)
+            if x is None:
+                continue
+            signs = list(self._slack_signs(x))
+            if all(s >= 0 for s in signs):
+                points.append((frozenset(i for i, s in enumerate(signs) if s == 0), x))
+        rays = []
+        for T in itertools.combinations(range(n), r - 1) if r else ():
+            if any(z.issuperset(T) for z, _ in rays):
+                continue
+            kern = linalg.kernel_basis([vs[i] for i in T] + list(lin), cols=k)
+            if len(kern) != 1:
+                continue
+            u = kern[0]
+            pairings = [linalg.dot(v, u) for v in vs]
+            if min(pairings) < 0:
+                if max(pairings) > 0:
+                    continue
+                u = tuple(-c for c in u)
+            rays.append((frozenset(i for i, p in enumerate(pairings) if p == 0), u))
+        return Generators(tuple(points), tuple(rays), lin)
 
     def face_lattice(self) -> list[Face]:
         if self._faces is None:
@@ -164,97 +242,41 @@ class LabelledPolyhedron:
         return self._faces
 
     def _compute_faces(self) -> list[Face]:
-        k = self.dim
-        n = len(self.labels)
-        vs = [lab.v for lab in self.labels]
-        found: dict[frozenset[int], Face] = {}
-
-        bounded_all = self.is_bounded()
-
-        # linearly independent candidate subsets, sizes 0..k
-        def extend(subset, start, current_rank):
-            yield subset
-            for j in range(start, n):
-                rows = [vs[i] for i in subset] + [vs[j]]
-                if linalg.rank(rows) == current_rank + 1:
-                    yield from extend(subset + (j,), j + 1, current_rank + 1)
-
-        for T in extend((), 0, 0):
-            if len(T) > k:
+        """Faces as closures of generator sets, top-down (Kaibel & Pfetsch
+        2002).  A face's tight set is the intersection of its generators'
+        tight sets; the generators on which one more label binds span a
+        smaller face when a point is among them.  The sample, the average of
+        the face's points plus the sum of its rays, is strict on every label
+        outside the tight set: a relative-interior point.
+        """
+        gens = self.generators()
+        npts = len(gens.points)
+        tights = [t for t, _ in gens.points] + [z for z, _ in gens.rays]
+        found: dict[frozenset[int], tuple[int, ...]] = {}
+        todo = [tuple(range(len(tights)))] if npts else []
+        while todo:
+            G = todo.pop()
+            S = frozenset.intersection(*(tights[g] for g in G))
+            if S in found:
                 continue
-            self._probe_subset(T, vs, found, bounded_all)
-        return sorted(found.values(), key=Face.sort_key)
-
-    def _probe_subset(self, T, vs, found, bounded_all):
-        k = self.dim
-        n = len(self.labels)
-        if T:
-            sol = linalg.solve_affine([list(vs[i]) for i in T], [self.labels[i].r for i in T])
-            if sol is None:
-                return
-            x0, kern = sol
-        else:
-            x0 = tuple(Fraction(0) for _ in range(k))
-            kern = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)]
-        d = len(kern)
-        forced = set(T)
-        rows = []
-        for j in range(n):
-            if j in forced:
-                continue
-            lin = tuple(linalg.dot(kv, vs[j]) for kv in kern)
-            const = self.slack(j, x0)
-            if all(c == 0 for c in lin):
-                if const < 0:
-                    return
-                if const == 0:
-                    forced.add(j)
-                continue
-            rows.append((lin, const, True))
-        t = feasible_point(rows, d)
-        if t is None:
-            return
-        sample = tuple(
-            x0[c] + sum(tv * kv[c] for tv, kv in zip(t, kern)) for c in range(k)
-        )
-        tight = frozenset(forced)
-        if tight in found:
-            return
-        tight_rows = [vs[i] for i in tight]
-        fdim = k - linalg.rank(tight_rows)
-        basis = tuple(linalg.kernel_basis(tight_rows, cols=k)) if tight_rows else tuple(
-            tuple(1 if j == i else 0 for j in range(k)) for i in range(k)
-        )
-        if bounded_all:
-            fbounded = True
-        else:
-            fbounded = not self._recession_nontrivial(tight)
-        found[tight] = Face(tight, fdim, basis, sample, fbounded)
-
-    def _recession_nontrivial(self, tight: frozenset[int]) -> bool:
-        """Does the closed face with this tight set contain a ray?"""
-        k = self.dim
-        vs = [lab.v for lab in self.labels]
-        tight_rows = [vs[i] for i in tight]
-        kern = linalg.kernel_basis(tight_rows, cols=k) if tight_rows else [
-            tuple(1 if j == i else 0 for j in range(k)) for i in range(k)
-        ]
-        d = len(kern)
-        if d == 0:
-            return False
-        rows = []
-        for j in range(len(vs)):
-            if j in tight:
-                continue
-            lin = tuple(linalg.dot(kv, vs[j]) for kv in kern)
-            rows.append((lin, 0, False))
-        for i in range(d):
-            for sign in (1, -1):
-                probe = tuple(sign if a == i else 0 for a in range(d))
-                extra = rows + [(probe, -1, False)]
-                if feasible_point(extra, d) is not None:
-                    return True
-        return False
+            found[S] = G
+            for j in range(len(self.labels)):
+                if j not in S:
+                    H = tuple(g for g in G if j in tights[g])
+                    if H and H[0] < npts:
+                        todo.append(H)
+        faces = []
+        for S, G in found.items():
+            pts = [gens.points[g][1] for g in G if g < npts]
+            rays = [gens.rays[g - npts][1] for g in G if g >= npts]
+            sample = [sum(c) / len(pts) for c in zip(*pts)]
+            for u in rays:
+                sample = [a + b for a, b in zip(sample, u)]
+            basis = tuple(linalg.kernel_basis(
+                [self.labels[i].v for i in sorted(S)], cols=self.dim))
+            faces.append(Face(S, len(basis), basis, tuple(sample),
+                              not rays and not gens.lineality))
+        return sorted(faces, key=Face.sort_key)
 
     # -- derived data ------------------------------------------------------
 
@@ -262,12 +284,10 @@ class LabelledPolyhedron:
         return not self.face_lattice()
 
     def is_bounded(self) -> bool:
-        if self._bounded is None:
-            if self._dilated_from is None:
-                self._bounded = not self._recession_nontrivial(frozenset())
-            else:
-                self._bounded = self._dilated_from[0].is_bounded()
-        return self._bounded
+        """No extreme ray of {d : V d >= 0} and no line: empty polyhedra
+        included, since the recession cone depends on the label vectors only."""
+        gens = self.generators()
+        return not gens.rays and not gens.lineality
 
     def body_dim(self) -> int:
         """Dimension of the polyhedron itself (-1 if empty)."""
@@ -423,9 +443,10 @@ def intersect(P: LabelledPolyhedron, Q: LabelledPolyhedron) -> LabelledPolyhedro
 
 def dilate(P: LabelledPolyhedron, m) -> LabelledPolyhedron:
     """m*P.  For m > 0 the faces of m*P are those of P with samples scaled by
-    m (same tight sets, dimensions, bases and boundedness), so m*P's face
-    lattice is taken from P's instead of recomputed; m = 0 collapses the
-    lattice and recomputes it."""
+    m (same tight sets, dimensions, bases and boundedness) and its generators
+    are P's points times m with P's rays and lineality, so both are taken
+    from P's instead of recomputed; m = 0 collapses the lattice and
+    recomputes it."""
     m = Fraction(m)
     if m < 0:
         raise ValueError("dilation factor must be nonnegative")

@@ -54,23 +54,6 @@ class RootSystem:
     def w0(self) -> Matrix:
         return self.elements[self.w0_index]
 
-    @property
-    def simple_roots(self) -> tuple[Weight, ...]:
-        return tuple(
-            tuple(self.cartan[i][j] for i in range(self.rank))
-            for j in range(self.rank)
-        )
-
-    @property
-    def fundamental_weights(self) -> tuple[Weight, ...]:
-        return tuple(
-            tuple(1 if j == i else 0 for j in range(self.rank))
-            for i in range(self.rank)
-        )
-
-    def inverse(self, w: Matrix) -> Matrix:
-        return _inverse_table(self)[w]
-
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n = len(a)
@@ -155,15 +138,6 @@ def root_system(name: str) -> RootSystem:
         tuple(positive),
         w0_index,
     )
-
-
-@lru_cache(maxsize=None)
-def _inverse_table(R: RootSystem):
-    ident = _identity(R.rank)
-    return {
-        w: next(g for g in R.elements if _mat_mul(w, g) == ident)
-        for w in R.elements
-    }
 
 
 def weyl_group(R: RootSystem):

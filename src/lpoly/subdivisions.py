@@ -6,8 +6,8 @@ lean on an exact relint-sample argument: a nonnegative affine functional
 vanishing at a relative-interior point of a convex set vanishes on all of
 it, so an intersection is automatically inside the minimal closed face
 around its sample and only the reverse inclusion needs a test.  That test
-reads the face's vertices and unbounded edges off the cell's face lattice
-when the cell has a vertex, and falls back to feasibility probes otherwise.
+reads the face's generators -- points, rays and the cell's lineality space
+-- off the cell, one route for bounded, unbounded and line-containing cells.
 """
 
 from __future__ import annotations
@@ -85,57 +85,20 @@ def _interior_sample(P: LabelledPolyhedron, hints=()):
     return tuple(sum(c) / n for c in zip(*witnesses))
 
 
-def _rows_hold_on(host_rows, check_rows, dim: int) -> bool:
-    """Does every row of ``check_rows`` hold everywhere on ``host_rows``?"""
-    for coeffs, const, strict in check_rows:
-        probe = host_rows + [(tuple(-c for c in coeffs), -const, True)]
-        if feasible_point(probe, dim) is not None:
-            return False
-    return True
-
-
-def _generators(cell: LabelledPolyhedron):
-    """Vertices and unbounded-edge directions of a cell, each with its tight
-    set, read off the face lattice; None when the cell has no vertex.
-
-    A cell with a vertex contains no line, and each of its closed faces is
-    then the convex hull of the vertices inside it plus the cone on the
-    directions of the unbounded edges inside it.  Directions are scaled to
-    integer vectors.
-    """
-    faces = cell.face_lattice()
-    verts = [(f.tight, f.sample) for f in faces if f.dim == 0]
-    if not verts:
-        return None
-    rays = []
-    for f in faces:
-        if f.dim == 1 and not f.is_bounded:
-            u = next(x for t, x in verts if t >= f.tight)
-            rays.append((f.tight, linalg.clear_denominators(
-                [a - b for a, b in zip(f.sample, u)])))
-    return verts, rays
-
-
-def _face_inside(cell: LabelledPolyhedron, gens, tight, other: LabelledPolyhedron) -> bool:
+def _face_inside(cell: LabelledPolyhedron, tight, other: LabelledPolyhedron) -> bool:
     """Is the closed face of ``cell`` where the labels in ``tight`` bind
     inside ``other``?
 
-    ``gens`` is ``_generators(cell)``.  The convex hull of points plus a cone
-    lies in ``other`` iff the points do and no label of ``other`` decreases
-    along a direction of the cone.  Without generators, one feasibility probe
-    per label of ``other``.
+    The face is the convex hull of its points plus the cone on its rays plus
+    the cell's lineality space, so it lies in ``other`` iff the points do, no
+    label of ``other`` decreases along a ray, and every label of ``other`` is
+    constant along the lineality space.
     """
-    if gens is None:
-        fbar_rows = _weak_rows(cell)
-        for i in tight:
-            lab = cell.labels[i]
-            fbar_rows.append((tuple(-x for x in lab.v), lab.r, False))
-        return _rows_hold_on(fbar_rows, _weak_rows(other), cell.dim)
-    verts, rays = gens
-    return all(
-        other.contains(x, "closed") for t, x in verts if t >= tight
-    ) and all(
-        linalg.dot(lab.v, d) >= 0 for t, d in rays if t >= tight for lab in other.labels
+    points, rays, lineality = cell.generators().of_face(tight)
+    return (
+        all(other.contains(x, "closed") for _, x in points)
+        and all(linalg.dot(lab.v, d) >= 0 for _, d in rays for lab in other.labels)
+        and all(linalg.dot(lab.v, d) == 0 for d in lineality for lab in other.labels)
     )
 
 
@@ -180,7 +143,6 @@ def validate(S: Subdivision, region: str = "all") -> Report:
         return rep
     tops = [c.top_face().sample for c in cells]
 
-    gens = [_generators(c) for c in cells]
     hints = [[f.sample for f in c.face_lattice()] for c in cells]
 
     # (a) every closed face of every cell is a cell.  For a candidate cell D
@@ -198,8 +160,8 @@ def validate(S: Subdivision, region: str = "all") -> Report:
                     continue
                 if not other.contains(f.sample, "closed"):
                     continue
-                if _face_inside(cell, gens[ci], f.tight, other) and _face_inside(
-                    other, gens[cj], frozenset(), cell
+                if _face_inside(cell, f.tight, other) and _face_inside(
+                    other, frozenset(), cell
                 ):
                     hit = True
                     break
@@ -221,7 +183,7 @@ def validate(S: Subdivision, region: str = "all") -> Report:
             whole = True
             for ck, other in ((ci, cj), (cj, ci)):
                 tight = cells[ck].tight_at(q)
-                if not _face_inside(cells[ck], gens[ck], tight, cells[other]):
+                if not _face_inside(cells[ck], tight, cells[other]):
                     rep.fail(f"bad-intersection: cells {ci} {cj} not a face of {ck}")
                     whole = False
                 elif tight != equalities[ck]:

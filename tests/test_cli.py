@@ -147,6 +147,32 @@ def test_weyl_star_reflect_wall_principal():
     assert out.strip() == "support: 1"
 
 
+@pytest.mark.parametrize("argv", [
+    ["weyl", "star", "--type", "A2", "--mu", "1"],
+    ["weyl", "action", "--type", "A2", "--word", "1", "--mu", "1"],
+    ["weyl", "induce", "--type", "A2", "--mu", "1,0,0"],
+    ["weyl", "reflect", "--type", "A2", "--lambda", "1"],
+], ids=["star", "action", "induce", "reflect"])
+def test_weyl_rejects_weight_of_wrong_length(argv, capsys):
+    code, out = run(argv)
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: --")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "genus", "--pairs", "-1"],
+    ["verify", "glue", "--pairs", "-1"],
+    ["verify", "euler", "--samples", "-1"],
+    ["verify", "dual-subdivision", "--type", "A2", "--count", "-1"],
+], ids=["genus", "glue", "euler", "dual-subdivision"])
+def test_verify_rejects_negative_counts(argv, capsys):
+    code, out = run(argv)
+    assert code == 2
+    assert out == ""
+    assert "must be nonnegative" in capsys.readouterr().err
+
+
 def test_verify_vergne():
     code, out = run(["verify", "vergne"])
     assert code == 0

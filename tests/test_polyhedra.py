@@ -435,7 +435,7 @@ def test_invariant_checks_survive_optimize_flag():
     """Broken invariants raise RuntimeError even under ``python -O``."""
     code = textwrap.dedent("""
         from fractions import Fraction
-        from lpoly import linalg, polyhedra, rootsys, subdivisions
+        from lpoly import counting, hull, linalg, polyhedra, rootsys, subdivisions
         from lpoly.polyhedra import Face, LabelledPolyhedron, label
 
         def check(name, thunk):
@@ -457,7 +457,25 @@ def test_invariant_checks_survive_optimize_flag():
         check("weyl_dimension", lambda: rootsys.weyl_dimension(R, (1, 0)))
         rootsys.coroot_pairing = real_pairing
 
+        square = LabelledPolyhedron(2, [
+            label(1, 0, 0), label(0, 1, 0), label(-1, 0, -1), label(0, -1, -1)])
+        real_dirs = counting.edge_directions
+        counting.edge_directions = lambda P, f: [(1, 1)]
+        check("localization", lambda: counting.localized_vertex_multiplicity(square, 1, (1, 0)))
+        counting.edge_directions = real_dirs
+
+        real_lattice = LabelledPolyhedron.face_lattice
+        LabelledPolyhedron.face_lattice = lambda self: [
+            Face(frozenset(), 0, (), (Fraction(9),), True)]
+        check("hull_vertices", lambda: hull.hull_of_points(1, [(0,), (1,)]))
+        LabelledPolyhedron.face_lattice = real_lattice
+
+        real_solve = linalg.solve
+        # in a plane of 3-space, only the frame-normal solves have rows of length 3
+        linalg.solve = lambda rows, rhs: None if len(rows[0]) == 3 else real_solve(rows, rhs)
+        check("hull_label", lambda: hull.hull_of_points(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)]))
         linalg.solve = lambda rows, rhs: None
+        check("hull_frame", lambda: hull.hull_of_points(2, [(0, 0), (1, 0), (0, 1)]))
         check("cone_cell", lambda: subdivisions.dual_subdivision(R, (1, 1)))
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -468,4 +486,7 @@ def test_invariant_checks_survive_optimize_flag():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["top_face", "face_meet", "weyl_dimension", "cone_cell"]
+    assert out.stdout.split() == [
+        "top_face", "face_meet", "weyl_dimension", "localization", "hull_vertices",
+        "hull_label", "hull_frame", "cone_cell",
+    ]

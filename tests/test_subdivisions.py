@@ -9,7 +9,6 @@ from lpoly.rootsys import principal_wall, root_system
 from lpoly.subdivisions import (
     Subdivision,
     _face_inside,
-    _generators,
     _interior_sample,
     dual_subdivision,
     euler_check,
@@ -418,30 +417,45 @@ def test_interior_sample_mirror_labels_are_not_opposites():
     assert point.tight_at(q) == point.implicit_equalities() == frozenset({1, 2, 3})
 
 
+def face_inside_by_probes(cell, tight, other):
+    """Oracle: one Fourier-Motzkin probe per label of ``other`` for a point
+    of the closed face that violates it."""
+    host = [(lab.v, -lab.r, False) for lab in cell.labels]
+    host += [(tuple(-x for x in cell.labels[i].v), cell.labels[i].r, False) for i in tight]
+    return all(
+        feasible_point(host + [(tuple(-x for x in lab.v), lab.r, True)], cell.dim) is None
+        for lab in other.labels
+    )
+
+
 def test_face_inside_generators_match_probes():
-    """Faces tested at vertices and unbounded edges agree with the
-    feasibility probes on bounded and unbounded pointed cells."""
+    """Faces tested at their points, rays and lineality space agree with
+    feasibility probes on bounded, unbounded and line-containing cells."""
     rng = random.Random(59)
     R = root_system("A2")
     cells = list(dual_subdivision(R, (Fraction(3, 2), Fraction(5, 3))).cells)
     cells += [egyptian_pyramid(), unit_square()]
+    cells += [c for k in (2, 3) for axis in range(k) for c in axis_split(k, axis, Fraction(1, 3)).cells]
+    cells += [LabelledPolyhedron(2, [label(1, -1, 0), label(-1, 1, -2)]),
+              LabelledPolyhedron(3, [label(1, 1, 0, 1), label(0, 1, 1, -1), label(-1, -2, -1, -3)])]
     others = cells + [
         LabelledPolyhedron(k, random_labels(rng, k, rng.randint(1, 4)))
         for k in (2, 2, 2, 3, 3, 3) for _ in range(4)
     ]
-    checked = inside = 0
+    checked = inside = with_lines = 0
     for cell in cells:
-        gens = _generators(cell)
-        assert gens is not None
+        lines = bool(cell.generators().lineality)
         for other in others:
             if other.dim != cell.dim:
                 continue
             for f in cell.face_lattice():
-                got = _face_inside(cell, gens, f.tight, other)
-                assert got == _face_inside(cell, None, f.tight, other)
+                got = _face_inside(cell, f.tight, other)
+                assert got == face_inside_by_probes(cell, f.tight, other)
                 checked += 1
                 inside += got
+                with_lines += lines
     assert 0 < inside < checked
+    assert with_lines > 100
 
 
 # -- integer membership -------------------------------------------------------
