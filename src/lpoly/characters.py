@@ -44,10 +44,12 @@ def _laurent_divide(num: dict, den: dict) -> dict:
     steps = 0
     while num:
         steps += 1
-        assert steps < 100000, "laurent division diverged"
+        if steps >= 100000:
+            raise RuntimeError("laurent division diverged")
         lead_n = max(num)
         c_n = num[lead_n]
-        assert c_n % c_d == 0, "non-exact laurent division"
+        if c_n % c_d:
+            raise RuntimeError("non-exact laurent division")
         coeff = c_n // c_d
         shift = tuple(a - b for a, b in zip(lead_n, lead_d))
         q[shift] = q.get(shift, 0) + coeff
@@ -70,7 +72,8 @@ def _weyl_character_cached(name: str, mu: tuple) -> tuple:
     denominator = alternating_sum(R, rho)
     quotient = _laurent_divide(numerator, denominator)
     total = sum(quotient.values())
-    assert total == rootsys.weyl_dimension(R, mu), "dimension formula mismatch"
+    if total != rootsys.weyl_dimension(R, mu):
+        raise RuntimeError("dimension formula mismatch")
     return tuple(sorted(quotient.items()))
 
 

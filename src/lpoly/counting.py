@@ -1,8 +1,10 @@
 """Lattice-point enumeration, Ehrhart quasi-polynomials, vertex localization.
 
-Counts are exact: a dilate's bounding box is swept line by line with the
-pure-int kernel in _kernels.  A dilate takes its face lattice, hence its box,
-from P's, so P's lattice is built once however many dilates are counted.
+Counts are exact and pure-int: count_points sums floors over 2-D slices of
+a dilate's bounding box, and lattice_points sweeps the box line by line,
+both with the kernels in _kernels.  A dilate takes its face lattice, hence
+its box, from P's, so P's lattice is built once however many dilates are
+counted.
 The Ehrhart fit solves small linear systems over the rationals, one per
 residue class, trying period candidates in divisor order; the fitted
 quasi-polynomial is verified against every available sample before being

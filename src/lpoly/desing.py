@@ -148,7 +148,8 @@ def canonical_desingularization(P: LabelledPolyhedron) -> DesingularizationTrace
         cur, lab, eps = canonical_blowup_step(cur, piece)
         steps.append(DesingularizationStep(lab, eps, tight))
     dec = excess_decomposition(cur)
-    assert len(dec.pieces) == 1, "desingularization must reach constant excess"
+    if len(dec.pieces) != 1:
+        raise RuntimeError("desingularization must reach constant excess")
 
     # stabilization: halving every offset must not change the face lattice
     if steps:
@@ -156,7 +157,8 @@ def canonical_desingularization(P: LabelledPolyhedron) -> DesingularizationTrace
         for s in steps:
             halved.append(Label(s.added.v, s.added.r - s.epsilon / 2, weighted=s.added.weighted))
         again = LabelledPolyhedron(P.dim, halved)
-        assert _lattice_signature(again) == _lattice_signature(cur)
+        if _lattice_signature(again) != _lattice_signature(cur):
+            raise RuntimeError("halved blowup offsets change the face lattice")
     return DesingularizationTrace(steps, cur)
 
 

@@ -101,7 +101,8 @@ def root_system(name: str) -> RootSystem:
         frontier = nxt
     elements = tuple(sorted(order, key=lambda w: (lengths[w], w)))
     length_list = tuple(lengths[w] for w in elements)
-    assert len(elements) == _ORDER[name]
+    if len(elements) != _ORDER[name]:
+        raise RuntimeError(f"Weyl group of {name} has the wrong order")
     w0_index = max(range(len(elements)), key=lambda i: length_list[i])
 
     # positive roots with their coroot pairing functionals
@@ -123,10 +124,12 @@ def root_system(name: str) -> RootSystem:
     positive = []
     for coords, pairing in sorted(roots.items()):
         c = linalg.solve(cartan_cols, list(coords))
-        assert c is not None
+        if c is None:
+            raise RuntimeError("root outside the span of the simple roots")
         if all(x >= 0 for x in c):
             positive.append(Root(coords, tuple(pairing)))
-    assert len(positive) == max(length_list)
+    if len(positive) != max(length_list):
+        raise RuntimeError("positive root count differs from the length of w0")
 
     return RootSystem(
         name,
@@ -247,14 +250,18 @@ def reflect(R: RootSystem, lam):
     lam_minus_rho = tuple(l - r for l, r in zip(lam, R.rho))
     if not is_regular(R, lam_minus_rho):
         # the dominance criterion must fail too (the conditions are equivalent)
-        assert not is_dominant(shifted)
+        if is_dominant(shifted):
+            raise RuntimeError("singular weight passes the dominance criterion")
         return None
     w = _mat_mul(R.w0, w_sigma)
     result = affine_action(R, w, tuple(-x for x in lam))
-    assert is_dominant(result)
+    if not is_dominant(result):
+        raise RuntimeError("reflected weight is not dominant")
     expected = star(R, shifted)
-    assert tuple(Fraction(x) for x in result) == tuple(expected)
-    assert is_dominant(shifted)
+    if tuple(Fraction(x) for x in result) != tuple(expected):
+        raise RuntimeError("reflected weight differs from the closed form")
+    if not is_dominant(shifted):
+        raise RuntimeError("regular weight fails the dominance criterion")
     return w, result
 
 

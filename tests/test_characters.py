@@ -218,3 +218,35 @@ def test_format_characters():
     assert out.splitlines() == ["-1\t-1 2", "2\t1 0"]
     out = ch.format_gcharacter({(3,): 1})
     assert out == "1\tchi 3"
+
+
+def test_laurent_division_check_survives_optimize_flag():
+    """A non-exact Laurent division raises RuntimeError even under ``python -O``."""
+    import os
+    import subprocess
+    import sys
+    import textwrap
+    from pathlib import Path
+
+    code = textwrap.dedent("""
+        from lpoly import characters
+        from lpoly.rootsys import root_system
+        R = root_system("A1")
+        real = characters.alternating_sum
+        # a Weyl denominator with leading coefficient 2 divides nothing exactly
+        characters.alternating_sum = lambda R, nu: (
+            {(1,): 2} if tuple(nu) == tuple(R.rho) else real(R, nu))
+        try:
+            characters.weyl_character(R, (1,))
+        except RuntimeError as e:
+            print(e)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "non-exact laurent division"

@@ -1,9 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lpoly._kernels import OP_EQ, OP_GE, OP_GT, count_box, scan_box
+from lpoly._kernels import OP_EQ, OP_GE, OP_GT, _floor_sum, count_box, scan_box
 from lpoly.counting import (
     QuasiPolynomial,
     brion_evaluate,
@@ -317,6 +320,93 @@ def test_kernel_beyond_int64():
     assert scan_box(lo, hi, V, num, den, ops) == want
     assert count_box(lo, hi, V, num, den, ops) == len(want)
     assert all(type(x) is int for pt in want for x in pt)
+
+
+# -- the slice counter against the sweep and brute membership ----------------
+
+
+@st.composite
+def _boxes(draw):
+    k = draw(st.integers(2, 4))
+    lo = draw(st.lists(st.integers(-4, 3), min_size=k, max_size=k))
+    hi = [a + draw(st.integers(-1, 4)) for a in lo]  # -1 empties the axis
+    n = draw(st.integers(0, 5))
+    coeffs = st.lists(st.sampled_from((0, 0, 1, -1, 2, -3)), min_size=k, max_size=k)
+    V = draw(st.lists(coeffs, min_size=n, max_size=n))
+    num = draw(st.lists(st.integers(-12, 12), min_size=n, max_size=n))
+    den = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=n, max_size=n))
+    ops = draw(st.lists(st.sampled_from((OP_GE, OP_GT, OP_EQ)), min_size=n, max_size=n))
+    return lo, hi, V, num, den, ops
+
+
+# The slices run along the two longest axes: the last two in these examples.
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+# rows free of x, and rows free of both slice axes
+@example(([0, 0, 0], [1, 3, 4], [[0, 1, 0], [1, 0, 0], [0, -1, 0], [-1, 0, -1]],
+          [1, 1, -2, -5], [1, 1, 1, 1], [OP_GE, OP_GE, OP_GE, OP_GE]))
+@example(([0, 0, 0], [2, 3, 4], [[1, 1, 1], [0, 1, -2]], [3, 1], [1, 1], [OP_EQ, OP_EQ]))
+@example(([0, 0], [4, 5], [[1, 2], [-1, -2], [2, 4], [-3, -6]], [0, -9, 1, -20],
+          [1, 1, 2, 1], [OP_GE, OP_GE, OP_GT, OP_GE]))  # parallel lower and upper lines
+@example(([0, 0], [3, 5], [[1, 0], [-1, 0]], [3, -1], [1, 1], [OP_GE, OP_GE]))  # empty y-range
+@example(([0, 0, 0], [-1, 3, 4], [[1, 1, 1]], [0], [1], [OP_GE]))  # empty prefix axis
+@example(([0, 0, 0, 0], [1, 2, 3, 4], [[1, -1, 2, -3], [0, 0, 1, 1]], [-4, 2], [2, 3],
+          [OP_GT, OP_GE]))  # two prefix axes
+@given(_boxes())
+def test_slice_counter_matches_sweep_and_brute(box):
+    want = _brute_box(*box)
+    assert scan_box(*box) == want
+    assert count_box(*box) == len(want)
+
+
+def test_slice_counter_beyond_int64_in_three_axes():
+    # the box [2^63, 2^63 + 3] x [-2^64 - 1, -2^64 + 1] x [5*2^63, 5*2^63 + 4]
+    # cut by three rows, each of which removes points
+    big = 1 << 63
+    lo, hi = [big, -2 * big - 1, 5 * big], [big + 3, -2 * big + 1, 5 * big + 4]
+    V = [[1, 1, 0], [2, -3, 1], [1, 0, -1]]
+    num, den = [-big + 1, 5 * (13 * big + 3), -4 * big - 2], [1, 5, 1]
+    ops = [OP_GE, OP_GT, OP_GE]
+    want = _brute_box(lo, hi, V, num, den, ops)
+    assert len(want) == 28
+    assert len(scan_box(lo, hi, V, num, den, ops)) == len(want)
+    assert count_box(lo, hi, V, num, den, ops) == len(want)
+
+
+def test_floor_sum_matches_direct_sum():
+    for n in range(0, 9):
+        for m in range(1, 6):
+            for a in range(-13, 14):
+                for b in range(-13, 14):
+                    assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+    assert _floor_sum(0, 7, -5, -9) == 0
+    big = 1 << 70
+    assert _floor_sum(5, 3, big, -big) == sum((big * i - big) // 3 for i in range(5))
+
+
+def _closed_form(name, m, region):
+    if name == "cube":
+        return (m + 1) ** 3 if region == "closed" else (m - 1) ** 3
+    if name == "simplex":
+        return math.comb(m + 3, 3) if region == "closed" else math.comb(m - 1, 3)
+    if name == "pyramid":
+        # layer z of m*pyramid is the square [z, 2m - z]^2
+        if region == "closed":
+            return sum((2 * j + 1) ** 2 for j in range(m + 1))
+        return sum((2 * j - 1) ** 2 for j in range(1, m))
+    return (m + 1) ** 2 if region == "closed" else (m - 1) ** 2
+
+
+@pytest.mark.parametrize("m", [200, 1000])
+def test_large_dilates_match_closed_forms(m):
+    polys = {
+        "cube": unit_cube(),
+        "simplex": standard_simplex(3),
+        "pyramid": egyptian_pyramid(),
+        "wtriangle": weighted_triangle(),
+    }
+    for name, P in polys.items():
+        for region in ("closed", "interior"):
+            assert count_points(P, m, region) == _closed_form(name, m, region), (name, region)
 
 
 def test_lattice_points_sorted_and_counted():
