@@ -4,14 +4,16 @@ Verbs: ``polytope`` (face/counting operations on .lpoly files), ``weyl``
 (root-system operations) and ``verify`` (the verification suites).  All
 numeric output is exact: integers and p/q rationals, never floats.  Exit
 codes: 0 success or verification pass, 1 verification failure, 2 usage or
-input error.
+input error, 3 internal error (an ``internal:`` line on stderr, no traceback).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
+import traceback
 from fractions import Fraction
 
 from . import characters, counting, desing, polyhedra, randgen, rootsys, subdivisions
@@ -556,6 +558,11 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:  # a bug: one line naming it and where it was raised
+        frame = traceback.extract_tb(e.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+        print(f"internal: {type(e).__name__}: {e} ({where})", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

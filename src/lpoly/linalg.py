@@ -2,13 +2,15 @@
 
 Everything in this module (and downstream of it) is big-integer or
 ``fractions.Fraction`` arithmetic; no floating point anywhere.  Matrices are
-plain sequences of row sequences, vectors are tuples.
+plain sequences of row sequences, vectors are tuples.  Rank, kernels and
+solving share one fraction-free Gauss-Jordan elimination (``_echelon``) on
+integer rows; ``Fraction`` appears only in the solutions returned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -44,18 +46,26 @@ def vsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
+def _scaled(x) -> tuple[list[int], int]:
+    """(X, d) with X = d*x integral, d the lcm of the denominators of x.
+
+    Membership and elimination scale their points and rows here, and a
+    float raises TypeError here.
+    """
+    try:
+        d = lcm(*(t.denominator for t in x))
+    except AttributeError:
+        raise TypeError("exact arithmetic takes int or Fraction entries") from None
+    return [t.numerator * (d // t.denominator) for t in x], d
+
+
 def clear_denominators(v) -> IntVec:
     """Scale a nonzero rational vector to a primitive integer vector.
 
     The positive scaling factor is chosen so the result is integral with
     entry gcd 1; the direction is preserved.
     """
-    fr = [Fraction(x) for x in v]
-    lcm = 1
-    for x in fr:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in fr]
-    return primitive(ints)
+    return primitive(_scaled(v)[0])
 
 
 def mat_mul(a, b):
@@ -74,45 +84,41 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def det(m) -> Fraction:
-    """Determinant over the rationals (fraction-free for integer input)."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    sign = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            f = a[r][col] / a[col][col]
-            if f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = Fraction(sign)
-    for i in range(n):
-        out *= a[i][i]
-    return out
+def _echelon(m):
+    """Fraction-free reduced row echelon form: (rows, pivot columns).
 
-
-def _rref(m):
-    """Reduced row echelon form; returns (rref rows, pivot column list)."""
-    a = [[Fraction(x) for x in row] for row in m]
+    Each row is scaled to integers and divided by the gcd of its entries
+    once; then integer Gauss-Jordan makes each pivot positive, clears its
+    column above and below, and divides every changed row by its gcd.
+    Row i is a positive multiple of row i of the rational RREF, so the
+    pivots are the same and RREF entry (i, j) is
+    ``rows[i][j] / rows[i][pivots[i]]`` (Bareiss 1968 keeps entries small
+    by exact division; the gcd does that here).
+    """
+    a = []
+    for row in m:
+        row = _scaled(row)[0]
+        g = gcd(*row)
+        a.append([x // g for x in row] if g > 1 else row)
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        piv = next((i for i in range(r, rows) if a[i][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        a[r] = [x / a[r][c] for x in a[r]]
+        p = a[r]
+        if p[c] < 0:
+            p = a[r] = [-x for x in p]
+        pc = p[c]
         for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][c]
+            if i != r and f:
+                row = [pc * x - f * y for x, y in zip(a[i], p)]
+                g = gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == rows:
@@ -123,11 +129,13 @@ def _rref(m):
 def rank(m) -> int:
     if not m or not m[0]:
         return 0
-    return len(_rref(m)[1])
+    return len(_echelon(m)[1])
 
 
 def kernel_basis(m, cols: int | None = None) -> list[IntVec]:
-    """Primitive integer basis of the rational null space of ``m``.
+    """Primitive integer basis of the rational null space of ``m``: one
+    vector per free column f, the primitive positive multiple of the RREF
+    solution with x_f = 1 and every other free variable 0.
 
     ``cols`` must be given when ``m`` has no rows.
     """
@@ -136,15 +144,17 @@ def kernel_basis(m, cols: int | None = None) -> list[IntVec]:
             raise ValueError("cols required for empty matrix")
         return [tuple(1 if j == i else 0 for j in range(cols)) for i in range(cols)]
     ncols = len(m[0])
-    a, pivots = _rref(m)
+    a, pivots = _echelon(m)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+        # x_c = -a[r][f] / a[r][c] at pivot c of row r, scaled by the lcm of those pivots
+        s = lcm(*(a[r][c] for r, c in enumerate(pivots) if a[r][f]))
+        v = [0] * ncols
+        v[f] = s
         for r, c in enumerate(pivots):
-            v[c] = -a[r][f]
-        basis.append(clear_denominators(v))
+            v[c] = -a[r][f] * (s // a[r][c])
+        basis.append(primitive(v))
     return basis
 
 
@@ -153,26 +163,22 @@ def solve(a, b) -> Vec | None:
     if not a:
         return ()
     ncols = len(a[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(bb)] for row, bb in zip(a, b)]
-    red, pivots = _rref(aug)
-    for row in red:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
+    red, pivots = _echelon([list(row) + [bb] for row, bb in zip(a, b)])
+    if pivots and pivots[-1] == ncols:  # a row reads 0 = nonzero
+        return None
     x = [Fraction(0)] * ncols
     for r, c in enumerate(pivots):
-        if c == ncols:
-            return None
-        x[c] = red[r][-1]
+        x[c] = Fraction(red[r][-1], red[r][c])
     return tuple(x)
 
 
 def solve_unique(a, b) -> Vec | None:
     """The solution of ``a x = b`` when there is exactly one, else None."""
     ncols = len(a[0])
-    red, pivots = _rref([list(row) + [bb] for row, bb in zip(a, b)])
+    red, pivots = _echelon([list(row) + [bb] for row, bb in zip(a, b)])
     if pivots != list(range(ncols)):
         return None
-    return tuple(red[c][-1] for c in range(ncols))
+    return tuple(Fraction(red[c][-1], red[c][c]) for c in range(ncols))
 
 
 def _swap_rows(m, i, j):

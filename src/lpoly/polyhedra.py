@@ -12,17 +12,22 @@ lineality space, P = conv(points) + cone(rays) + lineality.  Each face is
 the closure of the generators its tight labels bind on, which copes with
 duplicated labels, redundant labels, lower-dimensional, unbounded and
 line-containing polyhedra alike.
+
+Membership is integer arithmetic.  Each label keeps ``row = (v, r.num,
+r.den)``, and a point x is scaled once to integers X = d*x; the sign of
+label i's slack at x is the sign of ``r.den * <X, v> - r.num * d``.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from operator import mul
 from typing import NamedTuple
 
 from . import linalg
 from ._feasible import feasible_point
+from .linalg import _scaled
 
 Point = tuple[Fraction, ...]
 
@@ -33,7 +38,9 @@ class Label:
 
     ``v`` must be primitive unless the label was deliberately built with a
     scaled vector (``weighted=True``); the scale changes orbifold structure
-    but not the underlying set.
+    but not the underlying set.  ``row`` is ``(v, r.numerator,
+    r.denominator)``, set once: an attribute, not a field, so equality,
+    hashing and repr ignore it.
     """
 
     v: tuple[int, ...]
@@ -47,9 +54,24 @@ class Label:
             raise ValueError("zero label vector")
         if not self.weighted and not linalg.is_primitive(self.v):
             raise ValueError(f"label vector {self.v} is not primitive; pass weighted=True")
+        object.__setattr__(self, "row", (self.v, self.r.numerator, self.r.denominator))
 
     def flipped(self) -> "Label":
         return Label(tuple(-x for x in self.v), -self.r, weighted=self.weighted)
+
+
+def _zeros(signs) -> frozenset[int]:
+    """The labels tight at a point, from its ``_signs``."""
+    return frozenset(i for i, s in enumerate(signs) if s == 0)
+
+
+def _fm_row(lab: Label, strict: bool = False, sign: int = 1):
+    """<x, v> >= r (sign -1: <x, v> <= r) as the integer Fourier-Motzkin row
+    (sign * den * v, -sign * num, strict)."""
+    v, num, den = lab.row
+    if den != 1 or sign != 1:
+        v = tuple(sign * den * c for c in v)
+    return v, -sign * num, strict
 
 
 def label(*args) -> Label:
@@ -139,38 +161,31 @@ class LabelledPolyhedron:
         lab = self.labels[i]
         return linalg.dot(x, lab.v) - lab.r
 
-    def _slack_signs(self, x):
-        """Per label, an integer with the sign of its slack at ``x``.
+    def _signs(self, X, d) -> list[int]:
+        """Per label, ``r.den * <X, v> - r.num * d``: the sign of its slack
+        at the point X/d given by ``_scaled``."""
+        return [den * sum(map(mul, X, v)) - num * d for v, num, den in
+                (lab.row for lab in self.labels)]
 
-        ``x`` is scaled once to integers ``X`` by the lcm ``d`` of its
-        denominators, and label (v, r) gives ``r.den * <X, v> - r.num * d``,
-        which is ``slack * d * r.den``: no Fraction arithmetic.
-        """
-        try:
-            d = lcm(*(t.denominator for t in x))
-        except AttributeError:
-            raise TypeError("membership takes int or Fraction coordinates") from None
-        X = [t.numerator * (d // t.denominator) for t in x]
+    def _holds(self, X, d) -> bool:
+        """Is X/d in the closed polyhedron?  Stops at the first violated label."""
         for lab in self.labels:
-            r = lab.r
-            yield r.denominator * sum(a * b for a, b in zip(X, lab.v)) - r.numerator * d
+            v, num, den = lab.row
+            if den * sum(map(mul, X, v)) < num * d:
+                return False
+        return True
 
     def contains(self, x, region: str = "closed") -> bool:
         if region == "closed":
-            return all(s >= 0 for s in self._slack_signs(x))
+            return self._holds(*_scaled(x))
         if region == "interior":
             eq = self.implicit_equalities()
-            for i, s in enumerate(self._slack_signs(x)):
-                if i in eq:
-                    if s != 0:
-                        return False
-                elif s <= 0:
-                    return False
-            return True
+            return all((s == 0) if i in eq else (s > 0)
+                       for i, s in enumerate(self._signs(*_scaled(x))))
         raise ValueError(f"unknown region {region!r}")
 
     def tight_at(self, x) -> frozenset[int]:
-        return frozenset(i for i, s in enumerate(self._slack_signs(x)) if s == 0)
+        return _zeros(self._signs(*_scaled(x)))
 
     # -- generators and face lattice ----------------------------------------
 
@@ -209,9 +224,9 @@ class LabelledPolyhedron:
             x = linalg.solve_unique([vs[i] for i in T] + list(lin), rhs)
             if x is None:
                 continue
-            signs = list(self._slack_signs(x))
+            signs = self._signs(*_scaled(x))
             if all(s >= 0 for s in signs):
-                points.append((frozenset(i for i, s in enumerate(signs) if s == 0), x))
+                points.append((_zeros(signs), x))
         rays = []
         for T in itertools.combinations(range(n), r - 1) if r else ():
             if any(z.issuperset(T) for z, _ in rays):
@@ -425,11 +440,11 @@ def minimalize(P: LabelledPolyhedron) -> LabelledPolyhedron:
     """Drop every label whose hyperplane misses the polyhedron entirely."""
     if P.is_empty():
         return P
-    base = [(lab.v, -lab.r, False) for lab in P.labels]
+    base = [_fm_row(lab) for lab in P.labels]
     keep = []
     for lab in P.labels:
         # hyperplane of the label touches P iff <x, v> <= r is also attainable
-        rows = base + [(tuple(-x for x in lab.v), lab.r, False)]
+        rows = base + [_fm_row(lab, sign=-1)]
         if feasible_point(rows, P.dim) is not None:
             keep.append(lab)
     return LabelledPolyhedron(P.dim, keep)
@@ -460,9 +475,9 @@ def dilate(P: LabelledPolyhedron, m) -> LabelledPolyhedron:
 
 def is_subset(P: LabelledPolyhedron, Q: LabelledPolyhedron) -> bool:
     """Exact containment P <= Q of the underlying sets."""
-    base = [(lab.v, -lab.r, False) for lab in P.labels]
+    base = [_fm_row(lab) for lab in P.labels]
     for lab in Q.labels:
-        rows = base + [(tuple(-x for x in lab.v), lab.r, True)]
+        rows = base + [_fm_row(lab, strict=True, sign=-1)]
         if feasible_point(rows, P.dim) is not None:
             return False
     return True

@@ -8,6 +8,10 @@ it, so an intersection is automatically inside the minimal closed face
 around its sample and only the reverse inclusion needs a test.  That test
 reads the face's generators -- points, rays and the cell's lineality space
 -- off the cell, one route for bounded, unbounded and line-containing cells.
+
+Membership in ``validate`` and ``euler_check`` is integer arithmetic on
+points scaled once (``linalg._scaled``) and tested against every cell;
+feasibility probes take the integer rows of ``polyhedra._fm_row``.
 """
 
 from __future__ import annotations
@@ -16,10 +20,12 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import counting, linalg
 from ._feasible import feasible_point
-from .polyhedra import Face, Label, LabelledPolyhedron, intersect
+from .linalg import _scaled
+from .polyhedra import Face, Label, LabelledPolyhedron, _fm_row, _zeros, intersect
 from .report import Report
 from .rootsys import RootSystem
 
@@ -32,18 +38,17 @@ class Subdivision:
 
 
 def _weak_rows(P: LabelledPolyhedron):
-    return [(lab.v, -lab.r, False) for lab in P.labels]
+    return [_fm_row(lab) for lab in P.labels]
 
 
 def _relint_rows(P: LabelledPolyhedron, F: Face):
     rows = []
     for i, lab in enumerate(P.labels):
-        coeffs = lab.v
         if i in F.tight:
-            rows.append((coeffs, -lab.r, False))
-            rows.append((tuple(-c for c in coeffs), lab.r, False))
+            rows.append(_fm_row(lab))
+            rows.append(_fm_row(lab, sign=-1))
         else:
-            rows.append((coeffs, -lab.r, True))
+            rows.append(_fm_row(lab, strict=True))
     return rows
 
 
@@ -53,7 +58,8 @@ def _interior_sample(P: LabelledPolyhedron, hints=()):
     A label is an implicit equality iff no point of P makes it strict.  The
     points of P among ``hints``, or one feasibility witness when there are
     none, start a set of witnesses, and a label strict at a witness is not an
-    equality, while a label whose exact opposite is also a label is one.
+    equality, while a label whose exact opposite (-v, -r), read off the
+    labels' rows whatever their ``weighted`` flags, is also a label is one.
     The labels left are probed together: the sum of their slacks is positive
     somewhere on P iff one of them is strict there, so an infeasible probe
     proves them all equalities, and a feasible one adds a witness strict on
@@ -62,16 +68,17 @@ def _interior_sample(P: LabelledPolyhedron, hints=()):
     those labels: a relative-interior point.  None when P is empty.
     """
     base = _weak_rows(P)
-    witnesses = [p for p in hints if P.contains(p, "closed")]
+    witnesses = [Xd for Xd in map(_scaled, hints) if P._holds(*Xd)]
     if not witnesses:
         w = feasible_point(base, P.dim)
         if w is None:
             return None
-        witnesses = [w]
-    present = set(P.labels)
-    pending = {i for i, lab in enumerate(P.labels) if lab.flipped() not in present}
-    for p in witnesses:
-        pending.intersection_update(P.tight_at(p))
+        witnesses = [_scaled(w)]
+    present = {lab.row for lab in P.labels}
+    pending = {i for i, (v, num, den) in enumerate(lab.row for lab in P.labels)
+               if (tuple(-c for c in v), -num, den) not in present}
+    for X, d in witnesses:
+        pending.intersection_update(_zeros(P._signs(X, d)))
     while pending:
         labs = [P.labels[i] for i in pending]
         coeffs = tuple(map(sum, zip(*(lab.v for lab in labs))))
@@ -79,10 +86,14 @@ def _interior_sample(P: LabelledPolyhedron, hints=()):
         p = feasible_point(base + [(coeffs, const, True)], P.dim)
         if p is None:
             break
-        witnesses.append(p)
-        pending.intersection_update(P.tight_at(p))
-    n = len(witnesses)
-    return tuple(sum(c) / n for c in zip(*witnesses))
+        X, d = _scaled(p)
+        witnesses.append((X, d))
+        pending.intersection_update(_zeros(P._signs(X, d)))
+    # the average of the witnesses X/d, over their common denominator
+    D = lcm(*(d for _, d in witnesses))
+    total = [sum(c) for c in zip(*([x * (D // d) for x in X] for X, d in witnesses))]
+    n = len(witnesses) * D
+    return tuple(Fraction(c, n) for c in total)
 
 
 def _face_inside(cell: LabelledPolyhedron, tight, other: LabelledPolyhedron) -> bool:
@@ -141,7 +152,7 @@ def validate(S: Subdivision, region: str = "all") -> Report:
     if any(d < 0 for d in dims):
         rep.fail("empty-cell: subdivision contains an empty cell")
         return rep
-    tops = [c.top_face().sample for c in cells]
+    tops = [_scaled(c.top_face().sample) for c in cells]
 
     hints = [[f.sample for f in c.face_lattice()] for c in cells]
 
@@ -151,14 +162,18 @@ def validate(S: Subdivision, region: str = "all") -> Report:
     # set is achieved identically), so only D-inside-cell and face-inside-D
     # need checking.
     for ci, cell in enumerate(cells):
+        # per top sample: its tight set in this cell, None when outside it
+        at = []
+        for X, d in tops:
+            signs = cell._signs(X, d)
+            at.append(_zeros(signs) if all(t >= 0 for t in signs) else None)
         for f in cell.face_lattice():
             hit = False
+            sample = _scaled(f.sample)
             for cj, other in enumerate(cells):
-                if dims[cj] != f.dim:
+                if dims[cj] != f.dim or at[cj] is None or not f.tight <= at[cj]:
                     continue
-                if not (cell.contains(tops[cj], "closed") and f.tight <= cell.tight_at(tops[cj])):
-                    continue
-                if not other.contains(f.sample, "closed"):
+                if not other._holds(*sample):
                     continue
                 if _face_inside(cell, f.tight, other) and _face_inside(
                     other, frozenset(), cell
@@ -200,7 +215,8 @@ def validate(S: Subdivision, region: str = "all") -> Report:
         for p in probes:
             if not _in_region(p, region):
                 continue
-            if not any(cell.contains(p, "closed") for cell in cells):
+            X, d = _scaled(p)
+            if not any(cell._holds(X, d) for cell in cells):
                 misses += 1
                 if misses <= 5:
                     rep.fail(f"uncovered: {tuple(str(x) for x in p)}")
@@ -245,13 +261,11 @@ def euler_check(S: Subdivision, samples: int, seed: int = 0, region: str = "all"
             probes.append(p)
     probes = probes[:samples]
     k = S.dim
+    signs = [(-1) ** (k - cell.body_dim()) for cell in S.cells]
     bad = 0
     for p in probes:
-        total = sum(
-            (-1) ** (k - cell.body_dim())
-            for cell in S.cells
-            if cell.contains(p, "closed")
-        )
+        X, d = _scaled(p)
+        total = sum(sign for sign, cell in zip(signs, S.cells) if cell._holds(X, d))
         if total != 1:
             bad += 1
             if bad <= 5:

@@ -249,6 +249,22 @@ def test_exit_codes(tmp_path):
     assert code == 2
 
 
+def test_internal_error_exits_3_without_traceback(pyramid_file, monkeypatch, capsys):
+    from lpoly import cli
+
+    def broken(args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "cmd_poly_faces", broken)
+    code, out = run(["polytope", "faces", "--in", pyramid_file])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal: KeyError: 'boom' (test_cli.py:")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_determinism(pyramid_file):
     a = run(["polytope", "faces", "--in", pyramid_file])
     b = run(["polytope", "faces", "--in", pyramid_file])

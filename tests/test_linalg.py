@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lpoly import linalg
 
@@ -10,12 +13,34 @@ def mat_eq(a, b):
     return [list(r) for r in a] == [list(r) for r in b]
 
 
+def det(m) -> Fraction:
+    """Determinant over the rationals by Gaussian elimination."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    sign = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            sign = -sign
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    out = Fraction(sign)
+    for i in range(n):
+        out *= a[i][i]
+    return out
+
+
 def check_snf(m):
     u, d, v = linalg.smith_normal_form(m)
     rows, cols = len(m), len(m[0])
     assert mat_eq(linalg.mat_mul(linalg.mat_mul(u, m), v), d)
-    assert abs(linalg.det(u)) == 1
-    assert abs(linalg.det(v)) == 1
+    assert abs(det(u)) == 1
+    assert abs(det(v)) == 1
     diag = [d[i][i] for i in range(min(rows, cols))]
     for i in range(rows):
         for j in range(cols):
@@ -39,7 +64,7 @@ def test_snf_diag_2_3():
     m = [[2, 0], [0, 3]]
     diag = check_snf(m)
     assert diag == [1, 6]
-    assert abs(linalg.det(m)) == 6
+    assert abs(det(m)) == 6
 
 
 def test_snf_zero_row():
@@ -125,3 +150,123 @@ def test_solve():
 
 def test_clear_denominators():
     assert linalg.clear_denominators((Fraction(1, 2), Fraction(-1, 3))) == (3, -2)
+
+
+# -- the fraction-free echelon against rational Gauss-Jordan -------------------
+
+
+def rref(m):
+    """Oracle: reduced row echelon form over Fraction, (rows, pivot columns)."""
+    a = [[Fraction(x) for x in row] for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a, pivots
+
+
+def rref_kernel(m):
+    ncols = len(m[0])
+    a, pivots = rref(m)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -a[r][f]
+        basis.append(linalg.clear_denominators(v))
+    return basis
+
+
+def rref_solve(m, b):
+    ncols = len(m[0])
+    red, pivots = rref([list(row) + [bb] for row, bb in zip(m, b)])
+    for row in red:
+        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
+            return None
+    x = [Fraction(0)] * ncols
+    for r, c in enumerate(pivots):
+        if c == ncols:
+            return None
+        x[c] = red[r][-1]
+    return tuple(x)
+
+
+def rref_solve_unique(m, b):
+    ncols = len(m[0])
+    red, pivots = rref([list(row) + [bb] for row, bb in zip(m, b)])
+    if pivots != list(range(ncols)):
+        return None
+    return tuple(red[c][-1] for c in range(ncols))
+
+
+BIG = 2**63
+
+entries = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    st.builds(lambda n, s: s * (BIG + n), st.integers(0, 2**12), st.sampled_from((1, -1))),
+    st.builds(Fraction, st.integers(BIG, 4 * BIG), st.integers(BIG, 4 * BIG)),
+)
+
+
+@st.composite
+def systems(draw):
+    """(m, b): wide, square or tall, with zeroed rows and columns, sometimes
+    a dependent row, and b either in the column space or arbitrary."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    m = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+        m[i] = [0] * cols
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+        for row in m:
+            row[j] = 0
+    if draw(st.booleans()):
+        m.append([x - 2 * y for x, y in zip(m[0], m[-1])])
+    if draw(st.booleans()):
+        x0 = [draw(entries) for _ in range(cols)]
+        b = [sum(a * x for a, x in zip(row, x0)) for row in m]
+    else:
+        b = [draw(entries) for _ in m]
+    return m, b
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(systems())
+@example(([[1, 1], [1, 1]], [0, 1]))                    # inconsistent
+@example(([[0, 0, 0], [0, 0, 0]], [0, 1]))              # zero matrix, inconsistent
+@example(([[0, 0], [0, 0]], [0, 0]))                    # zero matrix
+@example(([[1, 2, 3, 4, 5]], [Fraction(1, 2)]))         # wide
+@example(([[1], [2], [3], [4]], [1, 2, 3, 4]))          # tall, consistent
+@example(([[1], [2], [3], [4]], [1, 2, 3, 5]))          # tall, inconsistent
+@example(([[BIG, BIG + 1], [BIG - 1, BIG]], [BIG, 1]))  # det 1, entries past 2^63
+@example(([[Fraction(BIG, 3), 1], [BIG, 3]], [0, 0]))   # rank 1 with a Fraction
+def test_echelon_matches_rational_rref(system):
+    m, b = system
+    red, pivots = rref(m)
+    ech, ech_pivots = linalg._echelon(m)
+    assert ech_pivots == pivots
+    for r, c in enumerate(pivots):
+        assert ech[r][c] > 0
+        assert all(isinstance(x, int) for x in ech[r])
+        assert gcd(*ech[r]) == 1
+        assert [Fraction(x, ech[r][c]) for x in ech[r]] == red[r]
+    assert linalg.rank(m) == len(pivots)
+    assert linalg.kernel_basis(m) == rref_kernel(m)
+    assert linalg.solve(m, b) == rref_solve(m, b)
+    assert linalg.solve_unique(m, b) == rref_solve_unique(m, b)

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from lpoly._feasible import feasible_point
+from lpoly import subdivisions
+from lpoly.linalg import _scaled
 from lpoly.polyhedra import LabelledPolyhedron, Label, intersect, label, same_set
 from lpoly.rootsys import principal_wall, root_system
 from lpoly.subdivisions import (
@@ -417,6 +419,28 @@ def test_interior_sample_mirror_labels_are_not_opposites():
     assert point.tight_at(q) == point.implicit_equalities() == frozenset({1, 2, 3})
 
 
+def test_interior_sample_opposite_pair_with_different_weighted_flags(monkeypatch):
+    """x1 >= 0 and -x1 >= 0, one of them flagged weighted, are an exact
+    opposite pair: the samples are those of the same system with both labels
+    unweighted, exact Fractions even from int hints, and with a witness strict
+    on every other label no probe is made."""
+    labs = [Label((1, 0), 0), label(0, 1, 0), Label((-1, 0), 0, weighted=True),
+            label(0, -1, -2), label(1, 1, -5)]
+    P = LabelledPolyhedron(2, labs)
+    unweighted = LabelledPolyhedron(2, labs[:2] + [label(-1, 0, 0)] + labs[3:])
+    hint_sets = ((), [(0, Fraction(1, 2))], [(0, 0), (0, 2), (1, 1)])
+    samples = [(0, 1), (0, Fraction(1, 2)), (0, 1)]
+    assert [_interior_sample(unweighted, h) for h in hint_sets] == samples
+    probes = []
+    monkeypatch.setattr(subdivisions, "feasible_point",
+                        lambda rows, n: probes.append(rows) or feasible_point(rows, n))
+    for hints, want in zip(hint_sets, samples):
+        q = _interior_sample(P, hints)
+        assert q == want and all(type(c) is Fraction for c in q)
+        assert P.tight_at(q) == P.implicit_equalities() == frozenset({0, 2})
+    assert len(probes) == 1  # the feasibility witness when there are no hints
+
+
 def face_inside_by_probes(cell, tight, other):
     """Oracle: one Fourier-Motzkin probe per label of ``other`` for a point
     of the closed face that violates it."""
@@ -462,15 +486,24 @@ def test_face_inside_generators_match_probes():
 
 
 def test_integer_membership_matches_slack():
+    """Membership and the sign kernel agree with ``slack``: ``_signs`` has the
+    sign of every slack and ``_holds`` is closed membership, on int and
+    Fraction points, weighted labels, and right-hand sides and coordinates
+    with denominators past 2^64."""
     rng = random.Random(61)
+    big = 2**64 + 13
     for _ in range(120):
         k = rng.randint(1, 3)
         labs = random_labels(rng, k, rng.randint(1, k + 3))
         labs.append(Label(tuple(2 * x for x in labs[0].v), 2 * labs[0].r + 1, weighted=True))
+        labs.append(Label(labs[-1].v, labs[-1].r + Fraction(1, big), weighted=True))
+        labs.append(label(*labs[0].v, labs[0].r - Fraction(rng.randint(1, 5), big)))
         P = LabelledPolyhedron(k, labs)
         points = [tuple(Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 7)))
                         for _ in range(k)) for _ in range(15)]
         points += [tuple(rng.randint(-4, 4) for _ in range(k)) for _ in range(5)]
+        points += [tuple(Fraction(rng.randint(-12, 12), rng.choice((1, big)))
+                         for _ in range(k)) for _ in range(5)]
         points += [f.sample for f in P.face_lattice()]
         eq = P.implicit_equalities() if not P.is_empty() else frozenset()
         n = len(P.labels)
@@ -481,5 +514,13 @@ def test_integer_membership_matches_slack():
             if not P.is_empty():
                 assert P.contains(x, "interior") == all(
                     (s == 0) if i in eq else (s > 0) for i, s in enumerate(slacks))
-    with pytest.raises(TypeError):
-        P.contains((0.5,) * P.dim, "closed")
+            X, d = _scaled(x)
+            assert d > 0 and [Fraction(c, d) for c in X] == list(x)
+            signs = P._signs(X, d)
+            assert [(s > 0) - (s < 0) for s in signs] == [(s > 0) - (s < 0) for s in slacks]
+            assert P._holds(X, d) == all(s >= 0 for s in slacks)
+    for x in ((0.5,) * P.dim, (Fraction(1, 2),) * (P.dim - 1) + (1.0,)):
+        with pytest.raises(TypeError):
+            P.contains(x, "closed")
+        with pytest.raises(TypeError):
+            P.tight_at(x)
