@@ -1,20 +1,23 @@
 """Exact feasibility of mixed strict/weak rational inequality systems.
 
 A row ``(coeffs, const, strict)`` encodes ``coeffs . t + const >= 0`` (or
-``> 0`` when strict); entries are ``int`` or ``Fraction``.  On entry each row
-is scaled by the common denominator of its entries and divided by their gcd,
-so Fourier-Motzkin elimination runs on coprime integer rows.  ``Fraction``
-appears only in back-substitution, which produces an exact rational witness,
-and in the final check of that witness against the caller's rows.  The
-systems handled here are tiny (<= ~20 rows, <= 6 variables), so the quadratic
-blowup of elimination never matters once duplicate and dominated rows are
-pruned.
+``> 0`` when strict); entries are ``int`` or ``Fraction``, and a labelled
+polyhedron gives its rows through ``polyhedra._rows``.  On entry each row is
+scaled by the common denominator of its entries (``linalg._scaled``) and
+divided by their gcd, so Fourier-Motzkin elimination runs on coprime integer
+rows.  ``Fraction`` appears only in back-substitution, which produces an
+exact rational witness, and in the final check of that witness against the
+caller's rows.  The systems handled here are tiny (<= ~20 rows, <= 6
+variables), so the quadratic blowup of elimination never matters once
+duplicate and dominated rows are pruned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+
+from .linalg import _scaled
 
 Row = tuple[tuple[int, ...], int, bool]
 
@@ -29,13 +32,8 @@ def _normalize(coeffs: tuple[int, ...], const: int, strict: bool) -> Row:
 
 def _integer_row(coeffs, const, strict: bool) -> Row:
     """Scale an int/Fraction row by its positive common denominator."""
-    try:
-        m = lcm(const.denominator, *(x.denominator for x in coeffs))
-        ints = tuple(x.numerator * (m // x.denominator) for x in coeffs)
-        c = const.numerator * (m // const.denominator)
-    except AttributeError:
-        raise TypeError("feasibility rows take int or Fraction entries") from None
-    return _normalize(ints, c, strict)
+    *ints, c = _scaled((*coeffs, const))[0]
+    return _normalize(tuple(ints), c, strict)
 
 
 def _prune(rows: list[Row]) -> list[Row] | None:
@@ -126,8 +124,7 @@ def feasible_point(rows, nvars: int):
 
 def _satisfies(rows, point) -> bool:
     """Check every row at ``point``, both sides scaled by its common denominator."""
-    d = lcm(*(t.denominator for t in point))
-    scaled = [t.numerator * (d // t.denominator) for t in point]
+    scaled, d = _scaled(point)
     for coeffs, const, strict in rows:
         val = sum(c * x for c, x in zip(coeffs, scaled)) + const * d
         if val < 0 or (val == 0 and strict):

@@ -1,12 +1,10 @@
 """Bounding-box lattice scans: one counting kernel and one listing sweep.
 
-A point mu passes label j when ``den[j] * <mu, V[j]> OP num[j]`` with OP
-chosen by ``ops[j]``: 0 means >=, 1 means >, 2 means ==.
-
-Both sides are integers, so every label becomes rows ``<mu, c> >= b``:
-``> n`` is ``>= n + 1`` and ``== n`` is ``>= n`` together with ``<= n``.
-Every axis but one (listing) or two (counting) is enumerated, keeping each
-row's ``b - <prefix, c>``.
+Both take a box and the ``(c, k, strict)`` rows of ``polyhedra._rows``: a
+point mu passes a row when ``<mu, c> + k >= 0``, or ``> 0`` when strict.
+On integers a strict row is ``<mu, c> >= 1 - k``, so each row becomes
+``<mu, c> >= b``.  Every axis but one (listing) or two (counting) is
+enumerated, keeping each row's ``b - <prefix, c>``.
 
 Listing (``scan_box``) sweeps the box line by line along the last axis: on
 a line each row bounds the swept coordinate x from one side (floor or
@@ -26,21 +24,6 @@ Python ints, so no input can overflow.
 """
 
 from __future__ import annotations
-
-OP_GE = 0
-OP_GT = 1
-OP_EQ = 2
-
-
-def _rows(V, num, den, ops):
-    """The labels as integer rows (c, b) meaning <mu, c> >= b."""
-    rows = []
-    for v, n, d, op in zip(V, num, den, ops):
-        c = [d * x for x in v]
-        rows.append((c, n + 1 if op == OP_GT else n))
-        if op == OP_EQ:
-            rows.append(([-x for x in c], -n))
-    return rows
 
 
 def _prefixes(lo, hi, cols, b, prefix=()):
@@ -77,12 +60,12 @@ def _runs(lo, hi, rows):
             yield prefix, first, last
 
 
-def scan_box(lo, hi, V, num, den, ops) -> list[tuple[int, ...]]:
-    """All integer points of the box satisfying every label constraint, as
-    tuples in lexicographic order."""
+def scan_box(lo, hi, rows) -> list[tuple[int, ...]]:
+    """All integer points of the box passing every row, as tuples in
+    lexicographic order."""
     return [
         prefix + (x,)
-        for prefix, first, last in _runs(lo, hi, _rows(V, num, den, ops))
+        for prefix, first, last in _runs(lo, hi, [(c, strict - const) for c, const, strict in rows])
         for x in range(first, last + 1)
     ]
 
@@ -167,12 +150,12 @@ def _count_slice(lows, ups, ys, b):
     return total
 
 
-def count_box(lo, hi, V, num, den, ops) -> int:
-    """Count of integer box points satisfying every constraint (no points
+def count_box(lo, hi, rows) -> int:
+    """Count of integer box points passing every row (no points
     materialized).  The count does not depend on the order of the axes, so
     slices run along the two longest ones: the fewest slices."""
     k = len(lo)
-    rows = _rows(V, num, den, ops)
+    rows = [(c, strict - const) for c, const, strict in rows]
     if k == 1:
         return sum(last - first + 1 for _, first, last in _runs(lo, hi, rows))
     *outer, y, x = sorted(range(k), key=lambda i: hi[i] - lo[i])

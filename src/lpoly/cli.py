@@ -16,7 +16,7 @@ import sys
 import traceback
 from fractions import Fraction
 
-from . import characters, counting, desing, polyhedra, randgen, rootsys, subdivisions
+from . import characters, counting, desing, linalg, polyhedra, randgen, rootsys, subdivisions
 from .polyhedra import LabelledPolyhedron, LpolyParseError, format_lpoly, format_rational
 from .report import Report
 
@@ -40,7 +40,6 @@ def _read_subdivision(path: str) -> subdivisions.Subdivision:
     except OSError as e:
         raise CliInputError(f"{path}: {e.strerror}") from None
     cells = []
-    dim = None
     for block in text.split("\n---"):
         if not block.strip():
             continue
@@ -48,11 +47,13 @@ def _read_subdivision(path: str) -> subdivisions.Subdivision:
             cell = polyhedra.parse_lpoly(block)
         except LpolyParseError as e:
             raise CliInputError(f"{path}: {e}") from None
+        if cells and cell.dim != cells[0].dim:
+            raise CliInputError(
+                f"{path}: cell {len(cells) + 1} has dim {cell.dim}, cell 1 has dim {cells[0].dim}")
         cells.append(cell)
-        dim = cell.dim
     if not cells:
         raise CliInputError(f"{path}: no cells")
-    return subdivisions.Subdivision(dim, cells)
+    return subdivisions.Subdivision(cells[0].dim, cells)
 
 
 class CliInputError(Exception):
@@ -89,10 +90,12 @@ def _root_system(args) -> rootsys.RootSystem:
 
 
 def _check_args(args):
-    """Reject negative counts and, for the weyl verbs, weights whose length
-    is not the rank; parsed weights replace their text on ``args``."""
-    for name in ("pairs", "samples", "count"):
-        if getattr(args, name, 0) < 0:
+    """Reject negative counts and bounds and, for the weyl verbs, weights
+    whose length is not the rank; parsed weights replace their text on
+    ``args``."""
+    for name in ("pairs", "samples", "count", "max", "mmax"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
             raise CliInputError(f"--{name} must be nonnegative")
     if args.verb == "weyl":
         for flag, name in (("--mu", "mu"), ("--lambda", "lam")):
@@ -235,7 +238,7 @@ def cmd_weyl_group(args) -> int:
 
 
 def _word_to_element(R, word: str):
-    w = tuple(tuple(1 if i == j else 0 for j in range(R.rank)) for i in range(R.rank))
+    w = linalg.identity(R.rank)
     if not word:
         return w
     for tok in word.split(","):
@@ -245,7 +248,7 @@ def _word_to_element(R, word: str):
             raise CliInputError(f"bad word letter {tok!r}") from None
         if not 1 <= i <= R.rank:
             raise CliInputError(f"word letter {i} out of range 1..{R.rank}")
-        w = rootsys._mat_mul(w, R.simple_reflections[i - 1])
+        w = linalg.mat_mul(w, R.simple_reflections[i - 1])
     return w
 
 
@@ -309,9 +312,11 @@ def cmd_weyl_wall(args) -> int:
 
 def cmd_weyl_principal(args) -> int:
     R = _root_system(args)
-    pts = []
-    for part in args.points.split(";"):
-        pts.append(_csv_rationals(part))
+    pts = [_csv_rationals(part) for part in args.points.split(";")]
+    for p in pts:
+        if len(p) != R.rank:
+            raise CliInputError(
+                f"--points needs {R.rank} entries per point for {args.type}, got {len(p)}")
     try:
         support = rootsys.principal_wall(R, pts)
     except ValueError as e:
@@ -349,6 +354,9 @@ def cmd_verify_glue(args) -> int:
             raise CliInputError("--delta and --subdivision go together")
         delta = _read_poly(args.delta)
         S = _read_subdivision(args.subdivision)
+        if delta.dim != S.dim:
+            raise CliInputError(
+                f"{args.delta}: dim {delta.dim}, but {args.subdivision} has dim {S.dim}")
         if not subdivisions.is_admissible(S, delta):
             rep = Report("gluing counts")
             rep.fail("subdivision not admissible for the polytope")

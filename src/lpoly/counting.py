@@ -2,9 +2,11 @@
 
 Counts are exact and pure-int: count_points sums floors over 2-D slices of
 a dilate's bounding box, and lattice_points sweeps the box line by line,
-both with the kernels in _kernels.  A dilate takes its face lattice, hence
-its box, from P's, so P's lattice is built once however many dilates are
-counted.
+both with the kernels in _kernels on the dilate's label rows
+(``polyhedra._rows``; for the relative interior the implicit equalities
+stay equalities and every other label is strict).  A dilate takes its face
+lattice, hence its box, from P's, so P's lattice is built once however many
+dilates are counted.
 The Ehrhart fit solves small linear systems over the rationals, one per
 residue class, trying period candidates in divisor order; the fitted
 quasi-polynomial is verified against every available sample before being
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from ._kernels import OP_EQ, OP_GE, OP_GT, count_box, scan_box
-from .polyhedra import Face, LabelledPolyhedron, dilate, format_rational
+from ._kernels import count_box, scan_box
+from .polyhedra import Face, LabelledPolyhedron, _rows, dilate, format_rational
 
 
 @dataclass(frozen=True)
@@ -78,14 +80,8 @@ def _scan_setup(P: LabelledPolyhedron, m: int, region: str):
     else:
         lo, hi = _box(Q)
         eq = P.implicit_equalities()
-    if region == "interior":
-        ops = [OP_EQ if i in eq else OP_GT for i in range(len(Q.labels))]
-    else:
-        ops = [OP_GE] * len(Q.labels)
-    V = [lab.v for lab in Q.labels]
-    num = [lab.r.numerator for lab in Q.labels]
-    den = [lab.r.denominator for lab in Q.labels]
-    return lo, hi, V, num, den, ops
+    rows = _rows(Q, eq, strict=True) if region == "interior" else _rows(Q)
+    return lo, hi, rows
 
 
 def lattice_points(P: LabelledPolyhedron, m: int = 1, region: str = "closed"):

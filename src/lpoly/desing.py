@@ -115,15 +115,17 @@ def canonical_blowup_step(P: LabelledPolyhedron, piece: ExcessPiece):
 
     n_old = len(dec.pieces)
     eps = Fraction(1)
+    cur, lab = build(eps)
     for _ in range(80):
-        cur, lab = build(eps)
-        nxt, _ = build(eps / 2)
+        # the halved offset is the next one tried: one face lattice per offset
+        nxt, nxt_lab = build(eps / 2)
         if not cur.is_empty() and _lattice_signature(cur) == _lattice_signature(nxt):
             # lattice stabilization is only a proxy for "below every critical
             # threshold": accept the offset once the piece count also drops
             if len(excess_decomposition(cur).pieces) < n_old:
                 return cur, lab, eps
         eps /= 2
+        cur, lab = nxt, nxt_lab
     raise RuntimeError("no stable blowup offset found")
 
 

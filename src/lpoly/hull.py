@@ -10,7 +10,6 @@ pairs) together with its vertex list.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 from . import linalg
@@ -84,14 +83,10 @@ def hull_of_points(ambient_dim: int, points):
         w = linalg.solve(pairing_rows, list(n))
         if w is None:
             raise RuntimeError("frame normal has no ambient label")
-        scale = 1
-        for x in w:
-            den = Fraction(x).denominator
-            scale = scale * den // math.gcd(scale, den)
-        wi = [int(Fraction(x) * scale) for x in w]
-        g = linalg.vec_gcd(wi)
-        wi = tuple(x // g for x in wi)
-        r = linalg.dot(base, wi) + Fraction(c0) * scale / g
+        wi = linalg.clear_denominators(w)
+        # wi = s * w for s > 0; read s off a nonzero entry
+        j = next(i for i, x in enumerate(w) if x)
+        r = linalg.dot(base, wi) + Fraction(c0) * wi[j] / w[j]
         labels.append(Label(wi, r))
 
     P = LabelledPolyhedron(k, labels)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -69,11 +70,9 @@ def clear_denominators(v) -> IntVec:
 
 
 def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
+    """The product of two matrices, as a tuple of tuple rows."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def transpose(m):
@@ -81,7 +80,7 @@ def transpose(m):
 
 
 def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def _echelon(m):
@@ -201,8 +200,8 @@ def smith_normal_form(m):
     rows = len(m)
     cols = len(m[0]) if rows else 0
     d = [[int(x) for x in row] for row in m]
-    u = identity(rows)
-    v = identity(cols)
+    u = [list(row) for row in identity(rows)]
+    v = [list(row) for row in identity(cols)]
     n = min(rows, cols)
 
     def diagonalize(t0):

@@ -13,9 +13,12 @@ the closure of the generators its tight labels bind on, which copes with
 duplicated labels, redundant labels, lower-dimensional, unbounded and
 line-containing polyhedra alike.
 
-Membership is integer arithmetic.  Each label keeps ``row = (v, r.num,
-r.den)``, and a point x is scaled once to integers X = d*x; the sign of
-label i's slack at x is the sign of ``r.den * <X, v> - r.num * d``.
+Every half-space system is read off one integer row per label: ``row =
+(c, k)`` with ``c = r.den * v`` and ``k = -r.num``, so the label is ``<x, c>
++ k >= 0``.  Membership scales a point x once to integers X = d*x, and the
+sign of label i's slack at x is the sign of ``<X, c> + k * d``.  ``_rows``
+turns the labels into the ``(c, k, strict)`` rows of Fourier-Motzkin
+feasibility and of the lattice kernels; nothing else builds them.
 """
 from __future__ import annotations
 
@@ -38,9 +41,9 @@ class Label:
 
     ``v`` must be primitive unless the label was deliberately built with a
     scaled vector (``weighted=True``); the scale changes orbifold structure
-    but not the underlying set.  ``row`` is ``(v, r.numerator,
-    r.denominator)``, set once: an attribute, not a field, so equality,
-    hashing and repr ignore it.
+    but not the underlying set.  ``row`` is ``(r.denominator * v,
+    -r.numerator)``, the integer row (c, k) of <x, c> + k >= 0, set once: an
+    attribute, not a field, so equality, hashing and repr ignore it.
     """
 
     v: tuple[int, ...]
@@ -54,7 +57,9 @@ class Label:
             raise ValueError("zero label vector")
         if not self.weighted and not linalg.is_primitive(self.v):
             raise ValueError(f"label vector {self.v} is not primitive; pass weighted=True")
-        object.__setattr__(self, "row", (self.v, self.r.numerator, self.r.denominator))
+        den = self.r.denominator
+        c = self.v if den == 1 else tuple(den * x for x in self.v)
+        object.__setattr__(self, "row", (c, -self.r.numerator))
 
     def flipped(self) -> "Label":
         return Label(tuple(-x for x in self.v), -self.r, weighted=self.weighted)
@@ -65,13 +70,24 @@ def _zeros(signs) -> frozenset[int]:
     return frozenset(i for i, s in enumerate(signs) if s == 0)
 
 
-def _fm_row(lab: Label, strict: bool = False, sign: int = 1):
-    """<x, v> >= r (sign -1: <x, v> <= r) as the integer Fourier-Motzkin row
-    (sign * den * v, -sign * num, strict)."""
-    v, num, den = lab.row
-    if den != 1 or sign != 1:
-        v = tuple(sign * den * c for c in v)
-    return v, -sign * num, strict
+def _rows(P: LabelledPolyhedron, eq=(), strict: bool = False):
+    """P's labels as rows (c, k, strict), each <x, c> + k >= 0 (> 0 when
+    strict): the labels in ``eq`` as equalities, a weak row and its negation,
+    and the others strict when ``strict``."""
+    rows = []
+    for i, lab in enumerate(P.labels):
+        c, k = lab.row
+        if i in eq:
+            rows += [(c, k, False), _opposite(lab, False)]
+        else:
+            rows.append((c, k, strict))
+    return rows
+
+
+def _opposite(lab: Label, strict: bool):
+    """The row of <x, v> <= r (< r when strict)."""
+    c, k = lab.row
+    return tuple(-x for x in c), -k, strict
 
 
 def label(*args) -> Label:
@@ -162,16 +178,15 @@ class LabelledPolyhedron:
         return linalg.dot(x, lab.v) - lab.r
 
     def _signs(self, X, d) -> list[int]:
-        """Per label, ``r.den * <X, v> - r.num * d``: the sign of its slack
-        at the point X/d given by ``_scaled``."""
-        return [den * sum(map(mul, X, v)) - num * d for v, num, den in
-                (lab.row for lab in self.labels)]
+        """Per label, ``<X, c> + k * d``: the sign of its slack at the point
+        X/d given by ``_scaled``."""
+        return [sum(map(mul, X, c)) + k * d for c, k in (lab.row for lab in self.labels)]
 
     def _holds(self, X, d) -> bool:
         """Is X/d in the closed polyhedron?  Stops at the first violated label."""
         for lab in self.labels:
-            v, num, den = lab.row
-            if den * sum(map(mul, X, v)) < num * d:
+            c, k = lab.row
+            if sum(map(mul, X, c)) + k * d < 0:
                 return False
         return True
 
@@ -440,12 +455,11 @@ def minimalize(P: LabelledPolyhedron) -> LabelledPolyhedron:
     """Drop every label whose hyperplane misses the polyhedron entirely."""
     if P.is_empty():
         return P
-    base = [_fm_row(lab) for lab in P.labels]
+    base = _rows(P)
     keep = []
     for lab in P.labels:
         # hyperplane of the label touches P iff <x, v> <= r is also attainable
-        rows = base + [_fm_row(lab, sign=-1)]
-        if feasible_point(rows, P.dim) is not None:
+        if feasible_point(base + [_opposite(lab, False)], P.dim) is not None:
             keep.append(lab)
     return LabelledPolyhedron(P.dim, keep)
 
@@ -475,10 +489,9 @@ def dilate(P: LabelledPolyhedron, m) -> LabelledPolyhedron:
 
 def is_subset(P: LabelledPolyhedron, Q: LabelledPolyhedron) -> bool:
     """Exact containment P <= Q of the underlying sets."""
-    base = [_fm_row(lab) for lab in P.labels]
+    base = _rows(P)
     for lab in Q.labels:
-        rows = base + [_fm_row(lab, strict=True, sign=-1)]
-        if feasible_point(rows, P.dim) is not None:
+        if feasible_point(base + [_opposite(lab, True)], P.dim) is not None:
             return False
     return True
 

@@ -55,18 +55,6 @@ class RootSystem:
         return self.elements[self.w0_index]
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def act(w: Matrix, mu) -> tuple:
     return tuple(sum(row[j] * mu[j] for j in range(len(mu))) for row in w)
 
@@ -85,7 +73,7 @@ def root_system(name: str) -> RootSystem:
         simples.append(tuple(tuple(row) for row in s))
     simples = tuple(simples)
 
-    ident = _identity(k)
+    ident = linalg.identity(k)
     lengths = {ident: 0}
     frontier = [ident]
     order = [ident]
@@ -93,7 +81,7 @@ def root_system(name: str) -> RootSystem:
         nxt = []
         for w in frontier:
             for s in simples:
-                cand = _mat_mul(s, w)
+                cand = linalg.mat_mul(s, w)
                 if cand not in lengths:
                     lengths[cand] = lengths[w] + 1
                     nxt.append(cand)
@@ -109,7 +97,7 @@ def root_system(name: str) -> RootSystem:
     inv = {}
     for w in elements:
         for g in elements:
-            if _mat_mul(w, g) == ident:
+            if linalg.mat_mul(w, g) == ident:
                 inv[w] = g
                 break
     roots = {}
@@ -212,14 +200,14 @@ def wall_data(R: RootSystem, support):
         for c in range(R.rank)
     )
     gens = [R.simple_reflections[j] for j in range(R.rank) if j not in support]
-    ident = _identity(R.rank)
+    ident = linalg.identity(R.rank)
     seen = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for w in frontier:
             for s in gens:
-                cand = _mat_mul(s, w)
+                cand = linalg.mat_mul(s, w)
                 if cand not in seen:
                     seen.add(cand)
                     nxt.append(cand)
@@ -253,7 +241,7 @@ def reflect(R: RootSystem, lam):
         if is_dominant(shifted):
             raise RuntimeError("singular weight passes the dominance criterion")
         return None
-    w = _mat_mul(R.w0, w_sigma)
+    w = linalg.mat_mul(R.w0, w_sigma)
     result = affine_action(R, w, tuple(-x for x in lam))
     if not is_dominant(result):
         raise RuntimeError("reflected weight is not dominant")

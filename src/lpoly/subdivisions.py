@@ -10,8 +10,10 @@ reads the face's generators -- points, rays and the cell's lineality space
 -- off the cell, one route for bounded, unbounded and line-containing cells.
 
 Membership in ``validate`` and ``euler_check`` is integer arithmetic on
-points scaled once (``linalg._scaled``) and tested against every cell;
-feasibility probes take the integer rows of ``polyhedra._fm_row``.
+points scaled once (``linalg._scaled``) and tested against every cell's
+label rows; feasibility probes take the ``(c, k, strict)`` rows of
+``polyhedra._rows``: a cell, or a face's relative interior with its tight
+labels as equalities and the others strict.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from math import lcm
 from . import counting, linalg
 from ._feasible import feasible_point
 from .linalg import _scaled
-from .polyhedra import Face, Label, LabelledPolyhedron, _fm_row, _zeros, intersect
+from .polyhedra import Label, LabelledPolyhedron, _rows, _zeros, intersect
 from .report import Report
 from .rootsys import RootSystem
 
@@ -37,29 +39,14 @@ class Subdivision:
     walls: list[tuple[frozenset, frozenset]] | None = None  # (sigma, tau) metadata
 
 
-def _weak_rows(P: LabelledPolyhedron):
-    return [_fm_row(lab) for lab in P.labels]
-
-
-def _relint_rows(P: LabelledPolyhedron, F: Face):
-    rows = []
-    for i, lab in enumerate(P.labels):
-        if i in F.tight:
-            rows.append(_fm_row(lab))
-            rows.append(_fm_row(lab, sign=-1))
-        else:
-            rows.append(_fm_row(lab, strict=True))
-    return rows
-
-
 def _interior_sample(P: LabelledPolyhedron, hints=()):
     """Relative-interior sample without computing the face lattice.
 
     A label is an implicit equality iff no point of P makes it strict.  The
     points of P among ``hints``, or one feasibility witness when there are
     none, start a set of witnesses, and a label strict at a witness is not an
-    equality, while a label whose exact opposite (-v, -r), read off the
-    labels' rows whatever their ``weighted`` flags, is also a label is one.
+    equality, while a label whose opposite row (-c, -k) is also a label's
+    row is one, whatever their ``weighted`` flags.
     The labels left are probed together: the sum of their slacks is positive
     somewhere on P iff one of them is strict there, so an infeasible probe
     proves them all equalities, and a feasible one adds a witness strict on
@@ -67,7 +54,7 @@ def _interior_sample(P: LabelledPolyhedron, hints=()):
     at some witness, so the average of the witnesses is strict on exactly
     those labels: a relative-interior point.  None when P is empty.
     """
-    base = _weak_rows(P)
+    base = _rows(P)
     witnesses = [Xd for Xd in map(_scaled, hints) if P._holds(*Xd)]
     if not witnesses:
         w = feasible_point(base, P.dim)
@@ -75,8 +62,8 @@ def _interior_sample(P: LabelledPolyhedron, hints=()):
             return None
         witnesses = [_scaled(w)]
     present = {lab.row for lab in P.labels}
-    pending = {i for i, (v, num, den) in enumerate(lab.row for lab in P.labels)
-               if (tuple(-c for c in v), -num, den) not in present}
+    pending = {i for i, (c, k) in enumerate(lab.row for lab in P.labels)
+               if (tuple(-x for x in c), -k) not in present}
     for X, d in witnesses:
         pending.intersection_update(_zeros(P._signs(X, d)))
     while pending:
@@ -232,9 +219,9 @@ def is_admissible(S: Subdivision, delta: LabelledPolyhedron) -> bool:
     k = delta.dim
     for cell in S.cells:
         for f in cell.face_lattice():
-            f_rows = _relint_rows(cell, f)
+            f_rows = _rows(cell, f.tight, strict=True)
             for g in delta.face_lattice():
-                rows = f_rows + _relint_rows(delta, g)
+                rows = f_rows + _rows(delta, g.tight, strict=True)
                 if feasible_point(rows, k) is None:
                     continue
                 span = [list(v) for v in f.affine_basis] + [list(v) for v in g.affine_basis]
@@ -375,9 +362,9 @@ def wall_alternating_sums(S: Subdivision, delta: LabelledPolyhedron) -> dict:
     if S.walls is None:
         raise ValueError("subdivision carries no wall metadata")
     sums: dict = {}
-    delta_rows = _weak_rows(delta)
+    delta_rows = _rows(delta)
     for (sigma, tau), cell in zip(S.walls, S.cells):
-        rows = delta_rows + _weak_rows(cell)
+        rows = delta_rows + _rows(cell)
         if feasible_point(rows, delta.dim) is None:
             continue
         sums[tau] = sums.get(tau, 0) + (-1) ** (len(tau) - len(sigma))

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from lpoly import characters as ch
-from lpoly import counting, desing, polyhedra, randgen, rootsys, subdivisions
+from lpoly import counting, desing, linalg, polyhedra, randgen, rootsys, subdivisions
 from lpoly.cli import main as cli_main
 from lpoly.polyhedra import LabelledPolyhedron, label
 from conftest import (
@@ -174,7 +174,7 @@ def test_criterion_05_reflection_conditions():
                 out = rootsys.reflect(R, lam)
                 if cond2:
                     w, result = out
-                    assert w == rootsys._mat_mul(R.w0, w_sigma)
+                    assert w == linalg.mat_mul(R.w0, w_sigma)
                     assert tuple(Fraction(x) for x in result) == tuple(
                         rootsys.star(R, shifted)
                     )

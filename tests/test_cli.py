@@ -152,7 +152,9 @@ def test_weyl_star_reflect_wall_principal():
     ["weyl", "action", "--type", "A2", "--word", "1", "--mu", "1"],
     ["weyl", "induce", "--type", "A2", "--mu", "1,0,0"],
     ["weyl", "reflect", "--type", "A2", "--lambda", "1"],
-], ids=["star", "action", "induce", "reflect"])
+    ["weyl", "principal", "--type", "A1", "--points", "1,2"],
+    ["weyl", "principal", "--type", "A2", "--points", "1,0;2"],
+], ids=["star", "action", "induce", "reflect", "principal", "principal-second-point"])
 def test_weyl_rejects_weight_of_wrong_length(argv, capsys):
     code, out = run(argv)
     assert code == 2
@@ -165,12 +167,28 @@ def test_weyl_rejects_weight_of_wrong_length(argv, capsys):
     ["verify", "glue", "--pairs", "-1"],
     ["verify", "euler", "--samples", "-1"],
     ["verify", "dual-subdivision", "--type", "A2", "--count", "-1"],
-], ids=["genus", "glue", "euler", "dual-subdivision"])
+    ["verify", "clebsch-gordan", "--max", "-1"],
+    ["verify", "quantum-dh", "--mmax", "-1"],
+], ids=["genus", "glue", "euler", "dual-subdivision", "clebsch-gordan", "quantum-dh"])
 def test_verify_rejects_negative_counts(argv, capsys):
     code, out = run(argv)
     assert code == 2
     assert out == ""
     assert "must be nonnegative" in capsys.readouterr().err
+
+
+def test_polytope_rejects_negative_mmax(tmp_path, capsys):
+    path = tmp_path / "half.lpoly"
+    path.write_text(format_lpoly(half_interval()))
+    for verb in ("ehrhart", "reciprocity"):
+        code, out = run(["polytope", verb, "--in", str(path), "--mmax", "-1"])
+        assert code == 2
+        assert out == ""
+        assert "--mmax must be nonnegative" in capsys.readouterr().err
+    # ehrhart's --mmax defaults to the smallest bound that fits
+    code, out = run(["polytope", "ehrhart", "--in", str(path)])
+    assert code == 0
+    assert "period: 2" in out
 
 
 def test_verify_vergne():
@@ -238,6 +256,32 @@ def test_verify_glue_rejects_inadmissible(tmp_path, square_file):
     code, out = run(["verify", "glue", "--delta", square_file, "--subdivision", str(sub)])
     assert code == 1
     assert "not admissible" in out
+
+
+@pytest.mark.parametrize("verb", ["euler", "glue"])
+def test_verify_rejects_subdivision_of_mixed_dims(verb, tmp_path, square_file, capsys):
+    sub = tmp_path / "mixed.sub"
+    sub.write_text("dim 1\nlabel 1 ; 0\n---\ndim 2\nlabel 1 0 ; 0\n")
+    argv = ["verify", verb, "--subdivision", str(sub)]
+    if verb == "glue":
+        argv += ["--delta", square_file]
+    code, out = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {sub}: cell 2 has dim 2, cell 1 has dim 1")
+
+
+def test_verify_glue_rejects_delta_of_other_dim(tmp_path, capsys):
+    delta = tmp_path / "half.lpoly"
+    delta.write_text(format_lpoly(half_interval()))
+    sub = tmp_path / "split.sub"
+    sub.write_text("dim 2\nlabel -1 0 ; -1/3\n---\ndim 2\nlabel 1 0 ; 1/3\n")
+    code, out = run(["verify", "glue", "--delta", str(delta), "--subdivision", str(sub)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {delta}: dim 1, but {sub} has dim 2")
 
 
 def test_exit_codes(tmp_path):

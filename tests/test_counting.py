@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lpoly._kernels import OP_EQ, OP_GE, OP_GT, _floor_sum, count_box, scan_box
+from lpoly._kernels import _floor_sum, count_box, scan_box
 from lpoly.counting import (
     QuasiPolynomial,
     brion_evaluate,
@@ -263,6 +263,30 @@ def test_quasipolynomial_eval_residues():
 
 # -- the line-sweep kernel against brute membership ---------------------------
 
+# The kernel cases are written as labels: label j passes mu when
+# den[j] * <mu, V[j]> is >= (OP_GE), > (OP_GT) or == (OP_EQ) num[j].
+OP_GE, OP_GT, OP_EQ = 0, 1, 2
+
+
+def _label_rows(V, num, den, ops):
+    """The labels as the kernels' (c, k, strict) rows, <mu, c> + k >= 0
+    (> 0 when strict); an equality is a weak row and its negation."""
+    rows = []
+    for v, n, d, op in zip(V, num, den, ops):
+        c = tuple(d * x for x in v)
+        rows.append((c, -n, op == OP_GT))
+        if op == OP_EQ:
+            rows.append((tuple(-x for x in c), n, False))
+    return rows
+
+
+def _scan(lo, hi, V, num, den, ops):
+    return scan_box(lo, hi, _label_rows(V, num, den, ops))
+
+
+def _count(lo, hi, V, num, den, ops):
+    return count_box(lo, hi, _label_rows(V, num, den, ops))
+
 
 def _brute_box(lo, hi, V, num, den, ops):
     import itertools
@@ -298,14 +322,14 @@ def test_kernel_matches_brute_random_boxes():
         den = [rng.choice((1, 1, 2, 3, 7)) for _ in range(n)]
         ops = [rng.choice((OP_GE, OP_GE, OP_GT, OP_EQ)) for _ in range(n)]
         want = _brute_box(lo, hi, V, num, den, ops)
-        assert scan_box(lo, hi, V, num, den, ops) == want
-        assert count_box(lo, hi, V, num, den, ops) == len(want)
+        assert _scan(lo, hi, V, num, den, ops) == want
+        assert _count(lo, hi, V, num, den, ops) == len(want)
 
 
 def test_kernel_empty_box():
     args = ([0, 3], [2, 1], [[1, 1]], [0], [1], [OP_GE])
-    assert scan_box(*args) == []
-    assert count_box(*args) == 0
+    assert _scan(*args) == []
+    assert _count(*args) == 0
 
 
 def test_kernel_beyond_int64():
@@ -317,8 +341,8 @@ def test_kernel_beyond_int64():
     ops = [OP_GE, OP_GT]
     want = _brute_box(lo, hi, V, num, den, ops)
     assert 0 < len(want) < 12
-    assert scan_box(lo, hi, V, num, den, ops) == want
-    assert count_box(lo, hi, V, num, den, ops) == len(want)
+    assert _scan(lo, hi, V, num, den, ops) == want
+    assert _count(lo, hi, V, num, den, ops) == len(want)
     assert all(type(x) is int for pt in want for x in pt)
 
 
@@ -354,8 +378,8 @@ def _boxes(draw):
 @given(_boxes())
 def test_slice_counter_matches_sweep_and_brute(box):
     want = _brute_box(*box)
-    assert scan_box(*box) == want
-    assert count_box(*box) == len(want)
+    assert _scan(*box) == want
+    assert _count(*box) == len(want)
 
 
 def test_slice_counter_beyond_int64_in_three_axes():
@@ -368,8 +392,8 @@ def test_slice_counter_beyond_int64_in_three_axes():
     ops = [OP_GE, OP_GT, OP_GE]
     want = _brute_box(lo, hi, V, num, den, ops)
     assert len(want) == 28
-    assert len(scan_box(lo, hi, V, num, den, ops)) == len(want)
-    assert count_box(lo, hi, V, num, den, ops) == len(want)
+    assert len(_scan(lo, hi, V, num, den, ops)) == len(want)
+    assert _count(lo, hi, V, num, den, ops) == len(want)
 
 
 def test_floor_sum_matches_direct_sum():

@@ -72,6 +72,21 @@ def test_blowup_doubled_interval():
     assert constant_excess(P2)
 
 
+def test_blowup_builds_one_face_lattice_per_offset(monkeypatch):
+    # [0, 1/8] with the lower label doubled: the offsets 1, 1/2 and 1/4 cut
+    # the interval to nothing or to a point, 1/8 is stable against 1/16
+    P = LabelledPolyhedron(1, [label(1, 0), label(1, 0), label(-1, Fraction(-1, 8))])
+    piece = next(p for p in excess_decomposition(P).pieces if p.excess == 1)
+    offsets = []
+    compute = LabelledPolyhedron._compute_faces
+    monkeypatch.setattr(LabelledPolyhedron, "_compute_faces",
+                        lambda self: offsets.append(self.labels[-1].r) or compute(self))
+    P2, lab, eps = canonical_blowup_step(P, piece)
+    assert (lab.v, lab.r, eps) == ((2,), Fraction(1, 8), Fraction(1, 8))
+    assert offsets == [Fraction(1, 2 ** i) for i in range(5)]
+    assert constant_excess(P2)
+
+
 def test_blowup_errors(cube, pyramid):
     dec = excess_decomposition(cube)
     with pytest.raises(ValueError):

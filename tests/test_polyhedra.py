@@ -7,8 +7,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lpoly import polyhedra
+from lpoly import linalg, polyhedra
+from lpoly._feasible import feasible_point
+from lpoly._kernels import count_box, scan_box
 from lpoly.polyhedra import (
     Label,
     LabelledPolyhedron,
@@ -490,3 +494,67 @@ def test_invariant_checks_survive_optimize_flag():
         "top_face", "face_meet", "weyl_dimension", "localization", "hull_vertices",
         "hull_label", "hull_frame", "cone_cell",
     ]
+
+
+# -- one row set, every reader ---------------------------------------------------
+
+
+@st.composite
+def _polyhedra_and_points(draw):
+    """Labelled polyhedra in dimension 1-3, with weighted labels, rational
+    offsets and opposite pairs (implicit equalities), plus rational points."""
+    k = draw(st.integers(1, 3))
+    labels = []
+    for _ in range(draw(st.integers(1, 5))):
+        v = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k).filter(any))
+        r = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from((1, 2, 3))))
+        labels.append(Label(v, r, weighted=not linalg.is_primitive(v)))
+        if draw(st.integers(0, 3)) == 0:
+            labels.append(labels[-1].flipped())
+    coord = st.fractions(-4, 4, max_denominator=3)
+    points = draw(st.lists(st.tuples(*[coord] * k), max_size=5))
+    return LabelledPolyhedron(k, labels), points
+
+
+def _rows_hold(rows, x) -> bool:
+    """<x, c> + k >= 0 (> 0 when strict) for every row, in Fraction arithmetic."""
+    for c, k, strict in rows:
+        s = sum(a * b for a, b in zip(x, c)) + k
+        if s < 0 or (strict and s == 0):
+            return False
+    return True
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_polyhedra_and_points())
+def test_label_rows_agree_with_every_reader(case):
+    """``_rows`` is read by membership, the lattice kernels and Fourier-Motzkin
+    feasibility; each reader agrees with an independent route: exact
+    membership and tight sets at the drawn points and every face sample,
+    brute membership over a box, and emptiness from the generators.  A
+    face's rows, its tight labels as equalities and the rest strict, hold
+    exactly on its relative interior."""
+    import itertools
+
+    P, points = case
+    rows = polyhedra._rows(P)
+    empty = P.is_empty()
+    assert (feasible_point(rows, P.dim) is None) == empty
+    points = points + [f.sample for f in P.face_lattice()]
+    lo, hi = [-3] * P.dim, [3] * P.dim
+    box = list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+    where = {x: P.contains(x) and P.tight_at(x) for x in points + box}
+    readers = [(rows, P.contains)]
+    if not empty:
+        eq = P.implicit_equalities()
+        readers.append((polyhedra._rows(P, eq, strict=True),
+                        lambda x: P.contains(x, "interior")))
+    for f in P.face_lattice():
+        readers.append((polyhedra._rows(P, f.tight, strict=True),
+                        lambda x, t=f.tight: where[x] == t))
+    for rows, inside in readers:
+        for x in points:
+            assert _rows_hold(rows, x) == inside(x)
+        want = [x for x in box if inside(x)]
+        assert scan_box(lo, hi, rows) == want
+        assert count_box(lo, hi, rows) == len(want)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lpoly import rootsys
+from lpoly import linalg, rootsys
 from lpoly.polyhedra import LabelledPolyhedron, label
 from lpoly.rootsys import (
     affine_action,
@@ -61,7 +61,7 @@ def test_affine_action_is_group_action():
         mus = list(itertools.product(box, repeat=R.rank))[:20]
         for w1 in R.elements:
             for w2 in R.elements:
-                prod = rootsys._mat_mul(w1, w2)
+                prod = linalg.mat_mul(w1, w2)
                 for mu in mus:
                     assert affine_action(R, prod, mu) == affine_action(
                         R, w1, affine_action(R, w2, mu)
