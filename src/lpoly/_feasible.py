@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .linalg import _scaled
+from .linalg import InvariantError, _scaled
 
 Row = tuple[tuple[int, ...], int, bool]
 
@@ -104,7 +104,7 @@ def feasible_point(rows, nvars: int):
     """An exact rational point satisfying every row, or None.
 
     ``rows`` are (coeffs, const, strict) triples over ``nvars`` variables
-    with ``int`` or ``Fraction`` entries.  Raises RuntimeError if the witness
+    with ``int`` or ``Fraction`` entries.  Raises InvariantError if the witness
     fails the rows, which would be a bug in elimination.
     """
     levels = []
@@ -118,7 +118,7 @@ def feasible_point(rows, nvars: int):
             return None
     point = _back_substitute(levels)
     if point is not None and not _satisfies(rows, point):
-        raise RuntimeError("back-substitution produced a bad witness")
+        raise InvariantError("back-substitution produced a bad witness")
     return point
 
 

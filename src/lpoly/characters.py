@@ -14,6 +14,7 @@ from functools import lru_cache
 
 from . import counting, linalg, rootsys
 from .hull import hull_of_points
+from .linalg import InvariantError
 from .polyhedra import LabelledPolyhedron, dilate
 from .report import Report
 from .rootsys import RootSystem, act, induce, root_system
@@ -45,11 +46,11 @@ def _laurent_divide(num: dict, den: dict) -> dict:
     while num:
         steps += 1
         if steps >= 100000:
-            raise RuntimeError("laurent division diverged")
+            raise InvariantError("laurent division diverged")
         lead_n = max(num)
         c_n = num[lead_n]
         if c_n % c_d:
-            raise RuntimeError("non-exact laurent division")
+            raise InvariantError("non-exact laurent division")
         coeff = c_n // c_d
         shift = tuple(a - b for a, b in zip(lead_n, lead_d))
         q[shift] = q.get(shift, 0) + coeff
@@ -73,7 +74,7 @@ def _weyl_character_cached(name: str, mu: tuple) -> tuple:
     quotient = _laurent_divide(numerator, denominator)
     total = sum(quotient.values())
     if total != rootsys.weyl_dimension(R, mu):
-        raise RuntimeError("dimension formula mismatch")
+        raise InvariantError("dimension formula mismatch")
     return tuple(sorted(quotient.items()))
 
 

@@ -90,13 +90,14 @@ def _root_system(args) -> rootsys.RootSystem:
 
 
 def _check_args(args):
-    """Reject negative counts and bounds and, for the weyl verbs, weights
-    whose length is not the rank; parsed weights replace their text on
-    ``args``."""
-    for name in ("pairs", "samples", "count", "max", "mmax"):
+    """Reject counts below 1 (a check of nothing would pass), negative
+    bounds and, for the weyl verbs, weights whose length is not the rank;
+    parsed weights replace their text on ``args``."""
+    for name, least in (("pairs", 1), ("samples", 1), ("count", 1), ("max", 0), ("mmax", 0)):
         value = getattr(args, name, None)
-        if value is not None and value < 0:
-            raise CliInputError(f"--{name} must be nonnegative")
+        if value is not None and value < least:
+            raise CliInputError(
+                f"--{name} must be {'positive' if least else 'nonnegative'}")
     if args.verb == "weyl":
         for flag, name in (("--mu", "mu"), ("--lambda", "lam")):
             if getattr(args, name, None) is not None:
@@ -560,10 +561,7 @@ def main(argv=None) -> int:
     try:
         _check_args(args)
         return args.func(args)
-    except CliInputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError) as e:
+    except (CliInputError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # a bug: one line naming it and where it was raised

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from . import linalg
 from ._kernels import count_box, scan_box
+from .linalg import InvariantError
 from .polyhedra import Face, LabelledPolyhedron, _rows, dilate, format_rational
 
 
@@ -178,7 +179,7 @@ def ehrhart_fit(P: LabelledPolyhedron, m_max: int | None = None) -> QuasiPolynom
                 deg = max(deg, max(nz, default=0))
             trimmed = tuple(tuple(cs[: deg + 1]) for cs in residue_coeffs)
             return QuasiPolynomial(deg, q, trimmed)
-    raise RuntimeError("fit failure")  # the period claim failed: a bug
+    raise InvariantError("fit failure")  # the period claim failed: a bug
 
 
 def reciprocity_check(P: LabelledPolyhedron, m_max: int):
@@ -274,7 +275,7 @@ def localized_vertex_multiplicity(P: LabelledPolyhedron, m: int, xi):
     values = [(linalg.dot(f.sample, xi), f) for f in verts]
     values.sort(key=lambda t: t[0])
     if len(values) > 1 and values[0][0] == values[1][0]:
-        raise RuntimeError("minimum must be unique")
+        raise InvariantError("minimum must be unique")
     nu = values[0][1].sample
     count = sum(1 for f in verts if all(p < 0 for p in pairings[f.tight]))
     return nu, count

@@ -21,6 +21,7 @@ from .polyhedra import (
     below,
 )
 from . import linalg
+from .linalg import InvariantError
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def canonical_blowup_step(P: LabelledPolyhedron, piece: ExcessPiece):
                 return cur, lab, eps
         eps /= 2
         cur, lab = nxt, nxt_lab
-    raise RuntimeError("no stable blowup offset found")
+    raise ValueError("no stable blowup offset found")
 
 
 def canonical_desingularization(P: LabelledPolyhedron) -> DesingularizationTrace:
@@ -151,7 +152,7 @@ def canonical_desingularization(P: LabelledPolyhedron) -> DesingularizationTrace
         steps.append(DesingularizationStep(lab, eps, tight))
     dec = excess_decomposition(cur)
     if len(dec.pieces) != 1:
-        raise RuntimeError("desingularization must reach constant excess")
+        raise InvariantError("desingularization must reach constant excess")
 
     # stabilization: halving every offset must not change the face lattice
     if steps:
@@ -160,7 +161,7 @@ def canonical_desingularization(P: LabelledPolyhedron) -> DesingularizationTrace
             halved.append(Label(s.added.v, s.added.r - s.epsilon / 2, weighted=s.added.weighted))
         again = LabelledPolyhedron(P.dim, halved)
         if _lattice_signature(again) != _lattice_signature(cur):
-            raise RuntimeError("halved blowup offsets change the face lattice")
+            raise ValueError("halved blowup offsets change the face lattice")
     return DesingularizationTrace(steps, cur)
 
 
@@ -223,4 +224,4 @@ def shift_desingularization(P: LabelledPolyhedron, eta=None) -> LabelledPolyhedr
             if not shifted.is_empty() and _constant_excess(shifted):
                 return shifted
             delta /= 2
-    raise RuntimeError("no constant-excess shift found")
+    raise ValueError("no constant-excess shift found")

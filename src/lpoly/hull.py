@@ -13,6 +13,7 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
+from .linalg import InvariantError
 from .polyhedra import Label, LabelledPolyhedron
 
 
@@ -59,7 +60,7 @@ def hull_of_points(ambient_dim: int, points):
     for p in pts:
         c = linalg.solve(dmat, list(linalg.vsub(p, base)))
         if c is None:
-            raise RuntimeError("point outside the affine hull of the frame")
+            raise InvariantError("point outside the affine hull of the frame")
         coords.append(c)
 
     facets = set()
@@ -82,7 +83,7 @@ def hull_of_points(ambient_dim: int, points):
         # <dirs_j, w> = n_j gives the same functional on the affine hull
         w = linalg.solve(pairing_rows, list(n))
         if w is None:
-            raise RuntimeError("frame normal has no ambient label")
+            raise InvariantError("frame normal has no ambient label")
         wi = linalg.clear_denominators(w)
         # wi = s * w for s > 0; read s off a nonzero entry
         j = next(i for i, x in enumerate(w) if x)
@@ -93,5 +94,5 @@ def hull_of_points(ambient_dim: int, points):
     verts = [f.sample for f in P.face_lattice() if f.dim == 0]
     vert_set = set(verts)
     if not vert_set <= set(pts):
-        raise RuntimeError("hull vertex is not an input point")
+        raise InvariantError("hull vertex is not an input point")
     return P, sorted(vert_set)

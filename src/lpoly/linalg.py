@@ -17,6 +17,12 @@ Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
 
 
+class InvariantError(RuntimeError):
+    """A check failed that no input can fail: a bug in lpoly.  Raised
+    explicitly, never by ``assert``, so the checks also run under ``python
+    -O``; errors an input can cause are ``ValueError``."""
+
+
 def vec_gcd(v) -> int:
     g = 0
     for x in v:

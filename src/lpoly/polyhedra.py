@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from . import linalg
 from ._feasible import feasible_point
-from .linalg import _scaled
+from .linalg import InvariantError, _scaled
 
 Point = tuple[Fraction, ...]
 
@@ -331,7 +331,7 @@ class LabelledPolyhedron:
         d = max(f.dim for f in faces)
         tops = [f for f in faces if f.dim == d]
         if len(tops) != 1:
-            raise RuntimeError("convex polyhedron has no unique maximal face")
+            raise InvariantError("convex polyhedron has no unique maximal face")
         return tops[0]
 
     def implicit_equalities(self) -> frozenset[int]:
@@ -516,7 +516,7 @@ def face_meet(P: LabelledPolyhedron, F1: Face, F2: Face) -> Face | None:
         return None
     top = max(candidates, key=lambda f: f.dim)
     if not all(below(f, top) for f in candidates):
-        raise RuntimeError("face intersection is not a face")
+        raise InvariantError("face intersection is not a face")
     return top
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
+from .linalg import InvariantError
 
 # cartan[i][j] = pairing of the j-th simple root with the i-th simple coroot;
 # column j holds the fundamental coordinates of the j-th simple root
@@ -90,7 +91,7 @@ def root_system(name: str) -> RootSystem:
     elements = tuple(sorted(order, key=lambda w: (lengths[w], w)))
     length_list = tuple(lengths[w] for w in elements)
     if len(elements) != _ORDER[name]:
-        raise RuntimeError(f"Weyl group of {name} has the wrong order")
+        raise InvariantError(f"Weyl group of {name} has the wrong order")
     w0_index = max(range(len(elements)), key=lambda i: length_list[i])
 
     # positive roots with their coroot pairing functionals
@@ -113,11 +114,11 @@ def root_system(name: str) -> RootSystem:
     for coords, pairing in sorted(roots.items()):
         c = linalg.solve(cartan_cols, list(coords))
         if c is None:
-            raise RuntimeError("root outside the span of the simple roots")
+            raise InvariantError("root outside the span of the simple roots")
         if all(x >= 0 for x in c):
             positive.append(Root(coords, tuple(pairing)))
     if len(positive) != max(length_list):
-        raise RuntimeError("positive root count differs from the length of w0")
+        raise InvariantError("positive root count differs from the length of w0")
 
     return RootSystem(
         name,
@@ -239,17 +240,17 @@ def reflect(R: RootSystem, lam):
     if not is_regular(R, lam_minus_rho):
         # the dominance criterion must fail too (the conditions are equivalent)
         if is_dominant(shifted):
-            raise RuntimeError("singular weight passes the dominance criterion")
+            raise InvariantError("singular weight passes the dominance criterion")
         return None
     w = linalg.mat_mul(R.w0, w_sigma)
     result = affine_action(R, w, tuple(-x for x in lam))
     if not is_dominant(result):
-        raise RuntimeError("reflected weight is not dominant")
+        raise InvariantError("reflected weight is not dominant")
     expected = star(R, shifted)
     if tuple(Fraction(x) for x in result) != tuple(expected):
-        raise RuntimeError("reflected weight differs from the closed form")
+        raise InvariantError("reflected weight differs from the closed form")
     if not is_dominant(shifted):
-        raise RuntimeError("regular weight fails the dominance criterion")
+        raise InvariantError("regular weight fails the dominance criterion")
     return w, result
 
 
@@ -274,7 +275,7 @@ def weyl_dimension(R: RootSystem, mu) -> int:
     for a in R.positive_roots:
         num *= Fraction(coroot_pairing(a, shifted), coroot_pairing(a, R.rho))
     if num.denominator != 1:
-        raise RuntimeError("Weyl dimension formula gave a non-integer")
+        raise InvariantError("Weyl dimension formula gave a non-integer")
     return int(num)
 
 

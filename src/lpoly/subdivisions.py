@@ -1,33 +1,47 @@
 """Polyhedral subdivisions: validation, admissibility, Euler and gluing
 identities, and the wall-dual subdivision of the dominant chamber.
 
-Cells are labelled polyhedra (unbounded ones included).  Pairwise checks
-lean on an exact relint-sample argument: a nonnegative affine functional
-vanishing at a relative-interior point of a convex set vanishes on all of
-it, so an intersection is automatically inside the minimal closed face
-around its sample and only the reverse inclusion needs a test.  That test
-reads the face's generators -- points, rays and the cell's lineality space
--- off the cell, one route for bounded, unbounded and line-containing cells.
+Cells are labelled polyhedra (unbounded ones included).  ``validate``
+compares closed faces by one canonical, hashable key (``_key``) made from
+their generators -- the points of the minimal faces orthogonal to the
+lineality space, the primitive extreme rays and the lineality space's
+reduced-echelon basis -- so two keys are equal exactly when the sets are.
+Face-closedness is a set lookup of every face's key among the cells' keys,
+and a cell listed twice is two equal keys.  Pairwise intersections lean on
+an exact relint-sample argument: a nonnegative affine functional vanishing
+at a relative-interior point of a convex set vanishes on all of it, so an
+intersection is automatically inside the minimal closed face around its
+sample and only the reverse inclusion needs a test, read off the face's
+generators.
+
+Coverage is exact, by facet pairing.  When intersections are proper, a
+facet shared by two full-dimensional cells has them on opposite sides, so
+the number of full-dimensional cells over a point is constant off the
+(k-2)-skeleton except across facets that no second cell shares.  The open
+region is therefore covered, exactly once, iff some full-dimensional
+cell's interior meets it and no unpaired facet's relative interior does:
+one feasibility probe each, with no sample points.
 
 Membership in ``validate`` and ``euler_check`` is integer arithmetic on
 points scaled once (``linalg._scaled``) and tested against every cell's
 label rows; feasibility probes take the ``(c, k, strict)`` rows of
 ``polyhedra._rows``: a cell, or a face's relative interior with its tight
-labels as equalities and the others strict.
+labels as equalities and the others strict.  ``euler_check`` still samples
+probe points: a seeded cross-check of the Euler identity.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from . import counting, linalg
 from ._feasible import feasible_point
-from .linalg import _scaled
-from .polyhedra import Label, LabelledPolyhedron, _rows, _zeros, intersect
+from .linalg import InvariantError, _scaled
+from .polyhedra import Generators, Label, LabelledPolyhedron, _rows, _zeros, intersect
 from .report import Report
 from .rootsys import RootSystem
 
@@ -43,8 +57,9 @@ def _interior_sample(P: LabelledPolyhedron, hints=()):
     """Relative-interior sample without computing the face lattice.
 
     A label is an implicit equality iff no point of P makes it strict.  The
-    points of P among ``hints``, or one feasibility witness when there are
-    none, start a set of witnesses, and a label strict at a witness is not an
+    points of P among ``hints``, points already scaled to ``(X, d)`` by
+    ``_scaled``, or one feasibility witness when there are none, start a set
+    of witnesses, and a label strict at a witness is not an
     equality, while a label whose opposite row (-c, -k) is also a label's
     row is one, whatever their ``weighted`` flags.
     The labels left are probed together: the sum of their slacks is positive
@@ -55,7 +70,7 @@ def _interior_sample(P: LabelledPolyhedron, hints=()):
     those labels: a relative-interior point.  None when P is empty.
     """
     base = _rows(P)
-    witnesses = [Xd for Xd in map(_scaled, hints) if P._holds(*Xd)]
+    witnesses = [Xd for Xd in hints if P._holds(*Xd)]
     if not witnesses:
         w = feasible_point(base, P.dim)
         if w is None:
@@ -112,103 +127,79 @@ def _interest_box(S: Subdivision, pad: int = 1):
     return lo, hi, samples
 
 
-def _grid_points(lo, hi, steps: int = 7):
-    axes = []
-    for a, b in zip(lo, hi):
-        if a == b:
-            axes.append([Fraction(a)])
-        else:
-            axes.append([Fraction(a) + Fraction(j * (b - a), steps) for j in range(steps + 1)])
-    return [tuple(p) for p in itertools.product(*axes)]
-
-
-def _in_region(point, region) -> bool:
+def _region(region: str, k: int) -> LabelledPolyhedron:
+    """The closed region: all of k-space, or the dominant orthant x >= 0."""
     if region == "all":
-        return True
+        return LabelledPolyhedron(k, [])
     if region == "dominant":
-        return all(x >= 0 for x in point)
+        return LabelledPolyhedron(
+            k, [Label(tuple(int(i == j) for j in range(k)), 0) for i in range(k)])
     raise ValueError(f"unknown region {region!r}")
 
 
+def _key(gens: Generators):
+    """Canonical key of the closed set conv(points) + cone(rays) +
+    span(lineality): two keys are equal exactly when the sets are.  The set
+    fixes its lineality space and ``kernel_basis`` returns that space's
+    reduced-echelon basis; it fixes its minimal faces, and each gives the one
+    point orthogonal to the lineality space; and it fixes its extreme rays
+    modulo lineality, each a primitive vector."""
+    return (frozenset(x for _, x in gens.points), frozenset(u for _, u in gens.rays),
+            gens.lineality)
+
+
 def validate(S: Subdivision, region: str = "all") -> Report:
-    """Face-closedness, proper pairwise intersections and region coverage."""
+    """Face-closedness, proper pairwise intersections and exact coverage of
+    the region, all on canonical face keys (``_key``)."""
     rep = Report(f"subdivision (region={region})")
     cells = S.cells
     rep.add(f"cells: {len(cells)}")
-    dims = [c.body_dim() for c in cells]
-    if any(d < 0 for d in dims):
+    if any(c.body_dim() < 0 for c in cells):
         rep.fail("empty-cell: subdivision contains an empty cell")
         return rep
-    tops = [_scaled(c.top_face().sample) for c in cells]
+    gens = [c.generators() for c in cells]
+    keys = [_key(g) for g in gens]
+    faces = [[(f, _key(g.of_face(f.tight))) for f in c.face_lattice()]
+             for c, g in zip(cells, gens)]
 
-    hints = [[f.sample for f in c.face_lattice()] for c in cells]
-
-    # (a) every closed face of every cell is a cell.  For a candidate cell D
-    # with relint sample inside the closed face: D is inside every tight
-    # hyperplane for free (a bound achieved at a relint point of a convex
-    # set is achieved identically), so only D-inside-cell and face-inside-D
-    # need checking.
-    for ci, cell in enumerate(cells):
-        # per top sample: its tight set in this cell, None when outside it
-        at = []
-        for X, d in tops:
-            signs = cell._signs(X, d)
-            at.append(_zeros(signs) if all(t >= 0 for t in signs) else None)
-        for f in cell.face_lattice():
-            hit = False
-            sample = _scaled(f.sample)
-            for cj, other in enumerate(cells):
-                if dims[cj] != f.dim or at[cj] is None or not f.tight <= at[cj]:
-                    continue
-                if not other._holds(*sample):
-                    continue
-                if _face_inside(cell, f.tight, other) and _face_inside(
-                    other, frozenset(), cell
-                ):
-                    hit = True
-                    break
-            if not hit:
+    # (a) every closed face of every cell is a cell
+    known = set(keys)
+    for ci, cell_faces in enumerate(faces):
+        for f, key in cell_faces:
+            if key not in known:
                 rep.fail(f"missing-face: cell {ci} face {sorted(f.tight)}")
 
-    # (b) pairwise intersections are closed faces of each.  Q lies inside
-    # the minimal closed face of each cell around its relint sample q, so it
-    # is that face iff the face lies inside the other cell.  A Q that
-    # is a face of both cells with q in the relative interior of each is
-    # both cells: one cell listed twice.
-    equalities = [c.implicit_equalities() for c in cells]
+    # (b) no cell is listed twice, and pairwise intersections are closed
+    # faces of each.  Q lies inside the minimal closed face of each cell
+    # around its relint sample q, so it is that face iff the face lies
+    # inside the other cell.
+    hints = [[_scaled(f.sample) for f in c.face_lattice()] for c in cells]
     for ci in range(len(cells)):
         for cj in range(ci + 1, len(cells)):
-            Q = intersect(cells[ci], cells[cj])
-            q = _interior_sample(Q, hints[ci])
+            if keys[ci] == keys[cj]:
+                rep.fail(f"duplicate-cell: cells {ci} {cj}")
+                continue
+            q = _interior_sample(intersect(cells[ci], cells[cj]), hints[ci])
             if q is None:
                 continue  # empty intersection: the trivial common face
-            whole = True
             for ck, other in ((ci, cj), (cj, ci)):
-                tight = cells[ck].tight_at(q)
-                if not _face_inside(cells[ck], tight, cells[other]):
+                if not _face_inside(cells[ck], cells[ck].tight_at(q), cells[other]):
                     rep.fail(f"bad-intersection: cells {ci} {cj} not a face of {ck}")
-                    whole = False
-                elif tight != equalities[ck]:
-                    whole = False
-            if whole:
-                rep.fail(f"duplicate-cell: cells {ci} {cj}")
 
-    # (c) coverage of the region on a grid plus all face samples
-    box = _interest_box(S)
-    if box is not None:
-        lo, hi, samples = box
-        probes = list(dict.fromkeys(_grid_points(lo, hi) + samples))
-        misses = 0
-        for p in probes:
-            if not _in_region(p, region):
-                continue
-            X, d = _scaled(p)
-            if not any(cell._holds(X, d) for cell in cells):
-                misses += 1
-                if misses <= 5:
-                    rep.fail(f"uncovered: {tuple(str(x) for x in p)}")
-        if misses > 5:
-            rep.fail(f"uncovered-total: {misses}")
+    # (c) exact coverage by facet pairing (see the module docstring); the
+    # argument needs (b) to hold
+    k = S.dim
+    open_region = _rows(_region(region, k), strict=True)
+    tops = [ci for ci, c in enumerate(cells) if c.body_dim() == k]
+    facets = Counter(key for ci in tops for f, key in faces[ci] if f.dim == k - 1)
+    for ci in tops:
+        for f, key in faces[ci]:
+            if f.dim == k - 1 and facets[key] == 1 and feasible_point(
+                    _rows(cells[ci], f.tight, strict=True) + open_region, k) is not None:
+                rep.fail(f"uncovered: cell {ci} facet {sorted(f.tight)}")
+    if all(feasible_point(_rows(cells[ci], strict=True) + open_region, k) is None
+           for ci in tops):
+        rep.fail(f"uncovered: no {k}-dimensional cell meets the region")
     return rep
 
 
@@ -239,12 +230,13 @@ def euler_check(S: Subdivision, samples: int, seed: int = 0, region: str = "all"
         return rep
     lo, hi, face_samples = box
     rng = random.Random(seed)
-    probes = [p for p in dict.fromkeys(face_samples) if _in_region(p, region)]
+    inside = _region(region, S.dim)
+    probes = [p for p in dict.fromkeys(face_samples) if inside._holds(*_scaled(p))]
     while len(probes) < samples:
         p = tuple(
             Fraction(rng.randint(int(a * 7), int(b * 7)), 7) for a, b in zip(lo, hi)
         )
-        if _in_region(p, region):
+        if inside._holds(*_scaled(p)):
             probes.append(p)
     probes = probes[:samples]
     k = S.dim
@@ -305,7 +297,7 @@ def _cone_cell(R: RootSystem, apex, gens) -> LabelledPolyhedron:
             ei = [Fraction(1 if j == i else 0) for j in range(len(gens))]
             u = linalg.solve(rows, ei)
             if u is None:
-                raise RuntimeError("cone generators are not linearly independent")
+                raise InvariantError("cone generators are not linearly independent")
             ui = linalg.clear_denominators(u)
             labels.append(Label(ui, linalg.dot(apex, ui)))
     else:

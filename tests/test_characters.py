@@ -221,7 +221,7 @@ def test_format_characters():
 
 
 def test_laurent_division_check_survives_optimize_flag():
-    """A non-exact Laurent division raises RuntimeError even under ``python -O``."""
+    """A non-exact Laurent division raises InvariantError even under ``python -O``."""
     import os
     import subprocess
     import sys
@@ -229,7 +229,7 @@ def test_laurent_division_check_survives_optimize_flag():
     from pathlib import Path
 
     code = textwrap.dedent("""
-        from lpoly import characters
+        from lpoly import InvariantError, characters
         from lpoly.rootsys import root_system
         R = root_system("A1")
         real = characters.alternating_sum
@@ -238,7 +238,7 @@ def test_laurent_division_check_survives_optimize_flag():
             {(1,): 2} if tuple(nu) == tuple(R.rho) else real(R, nu))
         try:
             characters.weyl_character(R, (1,))
-        except RuntimeError as e:
+        except InvariantError as e:
             print(e)
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")

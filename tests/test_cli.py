@@ -169,12 +169,27 @@ def test_weyl_rejects_weight_of_wrong_length(argv, capsys):
     ["verify", "dual-subdivision", "--type", "A2", "--count", "-1"],
     ["verify", "clebsch-gordan", "--max", "-1"],
     ["verify", "quantum-dh", "--mmax", "-1"],
-], ids=["genus", "glue", "euler", "dual-subdivision", "clebsch-gordan", "quantum-dh"])
+    ["verify", "genus", "--pairs", "0"],
+    ["verify", "glue", "--pairs", "0"],
+    ["verify", "euler", "--samples", "0"],
+    ["verify", "dual-subdivision", "--type", "A2", "--count", "0"],
+], ids=["genus", "glue", "euler", "dual-subdivision", "clebsch-gordan", "quantum-dh",
+        "genus-zero", "glue-zero", "euler-zero", "dual-subdivision-zero"])
 def test_verify_rejects_negative_counts(argv, capsys):
+    """Negative bounds and counts, and zero counts, with which a check of
+    nothing would pass, are input errors."""
     code, out = run(argv)
     assert code == 2
     assert out == ""
-    assert "must be nonnegative" in capsys.readouterr().err
+    want = "nonnegative" if argv[-2] in ("--max", "--mmax") else "positive"
+    assert capsys.readouterr().err == f"error: {argv[-2]} must be {want}\n"
+
+
+def test_verify_zero_bounds_stay_valid():
+    for argv in (["verify", "clebsch-gordan", "--max", "0"], ["verify", "quantum-dh", "--mmax", "0"]):
+        code, out = run(argv)
+        assert code == 0
+        assert out.endswith("result: pass\n")
 
 
 def test_polytope_rejects_negative_mmax(tmp_path, capsys):
@@ -307,6 +322,23 @@ def test_internal_error_exits_3_without_traceback(pyramid_file, monkeypatch, cap
     assert err.startswith("internal: KeyError: 'boom' (test_cli.py:")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_invariant_error_exits_3(pyramid_file, monkeypatch, capsys):
+    """A failed invariant is a bug, not an input error: exit 3, one
+    ``internal:`` line naming where it was raised."""
+    from fractions import Fraction
+
+    from lpoly import _feasible
+
+    monkeypatch.setattr(_feasible, "_back_substitute", lambda levels: (Fraction(-1),) * 3)
+    code, out = run(["polytope", "minimalize", "--in", pyramid_file])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert out == ""
+    assert err.startswith(
+        "internal: InvariantError: back-substitution produced a bad witness (_feasible.py:")
+    assert len(err.splitlines()) == 1
 
 
 def test_determinism(pyramid_file):

@@ -1,7 +1,10 @@
-"""No floats in the package: every module under src/lpoly is parsed and
-checked for float literals, ``float(...)`` calls and ``math`` names that
-return floats.  The integer-valued ``math`` functions stay allowed;
-``math.floor``/``math.ceil`` of a ``Fraction`` are exact ints."""
+"""No floats and no skippable invariants in the package: every module under
+src/lpoly is parsed and checked for float literals, ``float(...)`` calls and
+``math`` names that return floats, and for ``assert`` statements (gone under
+``python -O``) and bare ``RuntimeError`` raises (an invariant raises
+``InvariantError``, an input error ``ValueError``).  The integer-valued
+``math`` functions stay allowed; ``math.floor``/``math.ceil`` of a
+``Fraction`` are exact ints."""
 
 import ast
 from pathlib import Path
@@ -38,6 +41,19 @@ def float_uses(source: str) -> list[str]:
     return [f"{line}: {what}" for line, _, what in sorted(found)]
 
 
+def invariant_uses(source: str) -> list[str]:
+    """``line: what`` for each ``assert`` statement and ``raise RuntimeError``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assert):
+            found.append((node.lineno, "assert"))
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
+                found.append((node.lineno, "raise RuntimeError"))
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -57,3 +73,21 @@ def test_guard_catches_floats():
         "3: from math import sqrt", "4: literal 0.5", "5: float() call",
         "6: math.pi", "6: m.log", "6: math.isclose", "7: math.exp", "7: math.sqrt",
     ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_raises_invariants_explicitly(path):
+    assert invariant_uses(path.read_text()) == []
+
+
+def test_guard_catches_asserts_and_runtime_errors():
+    planted = (
+        "assert x > 0\n"
+        "if x:\n    raise RuntimeError('bug')\n"
+        "raise RuntimeError\n"
+        "raise InvariantError('bug')\n"
+        "raise ValueError('input')\n"
+        "class InvariantError(RuntimeError):\n    pass\n"
+        "try:\n    pass\nexcept RuntimeError:\n    raise\n"
+    )
+    assert invariant_uses(planted) == ["1: assert", "3: raise RuntimeError", "4: raise RuntimeError"]

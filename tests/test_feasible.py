@@ -99,14 +99,14 @@ def test_float_entries_rejected():
 
 
 def test_witness_check_survives_optimize_flag():
-    """A bad witness raises RuntimeError even under ``python -O``."""
+    """A bad witness raises InvariantError even under ``python -O``."""
     code = textwrap.dedent("""
         from fractions import Fraction
-        from lpoly import _feasible
+        from lpoly import InvariantError, _feasible
         _feasible._back_substitute = lambda levels: (Fraction(-1),)
         try:
             _feasible.feasible_point([((1,), 0, False)], 1)
-        except RuntimeError:
+        except InvariantError:
             print("raised")
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")

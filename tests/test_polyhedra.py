@@ -436,16 +436,16 @@ def test_dilate_by_zero_recomputes(monkeypatch):
 
 
 def test_invariant_checks_survive_optimize_flag():
-    """Broken invariants raise RuntimeError even under ``python -O``."""
+    """Broken invariants raise InvariantError even under ``python -O``."""
     code = textwrap.dedent("""
         from fractions import Fraction
-        from lpoly import counting, hull, linalg, polyhedra, rootsys, subdivisions
+        from lpoly import InvariantError, counting, hull, linalg, polyhedra, rootsys, subdivisions
         from lpoly.polyhedra import Face, LabelledPolyhedron, label
 
         def check(name, thunk):
             try:
                 thunk()
-            except RuntimeError:
+            except InvariantError:
                 print(name)
 
         P = LabelledPolyhedron(1, [label(1, 0), label(-1, -1)])

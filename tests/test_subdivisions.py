@@ -1,4 +1,6 @@
+import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,12 +8,14 @@ import pytest
 from lpoly._feasible import feasible_point
 from lpoly import subdivisions
 from lpoly.linalg import _scaled
-from lpoly.polyhedra import LabelledPolyhedron, Label, intersect, label, same_set
+from lpoly.polyhedra import LabelledPolyhedron, Label, closed_face, intersect, label, same_set
+from lpoly.randgen import random_lattice_polytope
 from lpoly.rootsys import principal_wall, root_system
 from lpoly.subdivisions import (
     Subdivision,
     _face_inside,
     _interior_sample,
+    _key,
     dual_subdivision,
     euler_check,
     glue_count_check,
@@ -295,10 +299,10 @@ def test_validate_bad_intersection_overlapping_segments():
         "bad-intersection: cells 0 1 not a face of 1",
         "bad-intersection: cells 0 3 not a face of 0",
         "bad-intersection: cells 1 4 not a face of 1",
-        "uncovered: ('-1',)",
-        "uncovered: ('-2/7',)",
-        "uncovered: ('23/7',)",
-        "uncovered: ('4',)",
+        "uncovered: cell 0 facet [0]",
+        "uncovered: cell 0 facet [1]",
+        "uncovered: cell 1 facet [0]",
+        "uncovered: cell 1 facet [1]",
     ]
 
 
@@ -315,6 +319,55 @@ def test_validate_bad_intersection_foreign_a2_cell():
         "bad-intersection: cells 2 4 not a face of 2",
         "bad-intersection: cells 4 5 not a face of 5",
     ]
+
+
+def with_moved_samples(S: Subdivision) -> Subdivision:
+    """Fresh copies of S's cells whose face samples are moved halfway to one
+    of the face's points: other relative-interior points of the same faces."""
+    cells = []
+    for cell in S.cells:
+        copy = LabelledPolyhedron(cell.dim, cell.labels)
+        points = cell.generators().points
+        copy._faces = [
+            replace(f, sample=tuple(
+                (a + b) / 2 for a, b in zip(f.sample, next(x for t, x in points if t >= f.tight))))
+            for f in cell.face_lattice()
+        ]
+        cells.append(copy)
+    return Subdivision(S.dim, cells)
+
+
+def test_validate_planted_gaps_fail_by_facets():
+    """A gap of width 1/10^6 between two cells and a missing 2-cell of the A2
+    dual subdivision are reported at the facets that bound them, whatever the
+    face samples are."""
+    eps = Fraction(1, 10**6)
+    thin = Subdivision(1, [LabelledPolyhedron(1, [label(-1, 0)]), point_cell(0),
+                           point_cell(eps), LabelledPolyhedron(1, [Label((1,), eps)])])
+    S = dual_subdivision(root_system("A2"), (Fraction(3, 2), Fraction(5, 3)))
+    assert S.cells[5].body_dim() == 2
+    missing = Subdivision(2, S.cells[:5] + S.cells[6:])
+    for sub, region, want in (
+        (thin, "all", ["cells: 4", "uncovered: cell 0 facet [0]", "uncovered: cell 3 facet [0]"]),
+        (missing, "dominant",
+         ["cells: 8", "uncovered: cell 2 facet [1]", "uncovered: cell 7 facet [1]"]),
+    ):
+        for T in (sub, with_moved_samples(sub)):
+            rep = validate(T, region=region)
+            assert not rep.ok and rep.lines == want
+
+
+def test_validate_region_needs_a_full_dimensional_cell():
+    """Lower-dimensional cells cover no open set, and a cell outside the
+    dominant orthant does not cover it."""
+    rep = validate(Subdivision(1, [point_cell(0)]))
+    assert rep.lines == ["cells: 1", "uncovered: no 1-dimensional cell meets the region"]
+    negative = Subdivision(1, [LabelledPolyhedron(1, [label(-1, 0)]), point_cell(0)])
+    assert validate(negative, region="dominant").lines == [
+        "cells: 2", "uncovered: no 1-dimensional cell meets the region"]
+    # its facet at 0 lies on the region's boundary, so it leaves no gap in x < 0
+    positive = Subdivision(1, [LabelledPolyhedron(1, [label(1, 0)]), point_cell(0)])
+    assert validate(positive, region="dominant").ok
 
 
 def test_validate_duplicate_cell():
@@ -362,7 +415,7 @@ def probed_equalities(P):
 def test_interior_sample_dual_subdivision_pairs():
     for ci, cj in dual_subdivision_pairs():
         Q = intersect(ci, cj)
-        hints = [f.sample for f in ci.face_lattice()]
+        hints = [_scaled(f.sample) for f in ci.face_lattice()]
         eq = probed_equalities(Q)
         for q in (_interior_sample(Q), _interior_sample(Q, hints)):
             assert Q.contains(q, "closed")
@@ -394,7 +447,8 @@ def test_interior_sample_duplicated_and_opposite_labels():
             )))
         rng.shuffle(labs)
         P = LabelledPolyhedron(k, labs)
-        hints = [tuple(Fraction(rng.randint(-9, 9), 3) for _ in range(k)) for _ in range(4)]
+        hints = [_scaled(tuple(Fraction(rng.randint(-9, 9), 3) for _ in range(k)))
+                 for _ in range(4)]
         for q in (_interior_sample(P), _interior_sample(P, hints)):
             if P.is_empty():
                 assert q is None
@@ -410,11 +464,11 @@ def test_interior_sample_mirror_labels_are_not_opposites():
     has labels (1, -1) and (-1, -1), neither an equality, while the point
     x = 1 is cut out by a real opposite pair, one half listed twice."""
     strip = LabelledPolyhedron(1, [label(1, -1), label(-1, -1)])
-    for hints in ((), [(Fraction(-1),)], [(Fraction(1),)]):
+    for hints in ((), [_scaled((Fraction(-1),))], [_scaled((Fraction(1),))]):
         q = _interior_sample(strip, hints)
         assert strip.tight_at(q) == frozenset()
     point = LabelledPolyhedron(1, [label(1, 0), label(-1, -1), label(1, 1), label(-1, -1)])
-    q = _interior_sample(point, [(Fraction(1),)])
+    q = _interior_sample(point, [_scaled((Fraction(1),))])
     assert q == (Fraction(1),)
     assert point.tight_at(q) == point.implicit_equalities() == frozenset({1, 2, 3})
 
@@ -428,7 +482,8 @@ def test_interior_sample_opposite_pair_with_different_weighted_flags(monkeypatch
             label(0, -1, -2), label(1, 1, -5)]
     P = LabelledPolyhedron(2, labs)
     unweighted = LabelledPolyhedron(2, labs[:2] + [label(-1, 0, 0)] + labs[3:])
-    hint_sets = ((), [(0, Fraction(1, 2))], [(0, 0), (0, 2), (1, 1)])
+    hint_sets = [list(map(_scaled, h))
+                 for h in ((), [(0, Fraction(1, 2))], [(0, 0), (0, 2), (1, 1)])]
     samples = [(0, 1), (0, Fraction(1, 2)), (0, 1)]
     assert [_interior_sample(unweighted, h) for h in hint_sets] == samples
     probes = []
@@ -480,6 +535,41 @@ def test_face_inside_generators_match_probes():
                 with_lines += lines
     assert 0 < inside < checked
     assert with_lines > 100
+
+
+# -- canonical face keys -------------------------------------------------------
+
+
+def test_key_equality_is_set_equality():
+    """``_key`` of a closed face, read off its cell's generators, is the key
+    of that face as a polyhedron of its own, and two keys are equal exactly
+    when ``same_set`` says the faces are, over every pair of faces of one
+    dimension among dual-subdivision cells and random lattice polytopes.
+    A face's relative-interior sample outside the other face already proves
+    the sets differ, so ``same_set`` runs only where both samples lie in both."""
+    polys = []
+    for name, lam in (("A2", (Fraction(3, 2), Fraction(5, 3))), ("B2", (2, Fraction(1, 3))),
+                      ("G2", (1, Fraction(2, 5))), ("A3", (1, Fraction(3, 2), 2))):
+        polys += dual_subdivision(root_system(name), lam).cells
+    rng = random.Random(3)
+    polys += [random_lattice_polytope(rng, rng.randint(1, 3), full_dim=bool(i % 2))
+              for i in range(40)]
+    groups = {}
+    for P in polys:
+        gens = P.generators()
+        for f in P.face_lattice():
+            C = closed_face(P, f)
+            key = _key(gens.of_face(f.tight))
+            assert _key(C.generators()) == key
+            groups.setdefault((P.dim, f.dim), []).append((key, C, f.sample))
+    pairs = equal = 0
+    for group in groups.values():
+        for (k1, C1, x1), (k2, C2, x2) in itertools.combinations(group, 2):
+            same = C2.contains(x1) and C1.contains(x2) and same_set(C1, C2)
+            assert (k1 == k2) == same
+            pairs += 1
+            equal += same
+    assert pairs >= 20000 and equal >= 500
 
 
 # -- integer membership -------------------------------------------------------
