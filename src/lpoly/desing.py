@@ -78,15 +78,12 @@ def depth(P: LabelledPolyhedron) -> int:
 
 
 def _piece_top_face(P: LabelledPolyhedron, piece: ExcessPiece):
-    faces = P.face_lattice()
-    members = sorted(piece.faces)
-    maximal = [
-        i for i in members
-        if not any(j != i and below(faces[i], faces[j]) for j in members)
-    ]
-    if len(maximal) != 1 or not all(below(faces[i], faces[maximal[0]]) for i in members):
+    """The face whose closure is the piece's closure: its member of highest
+    dimension, since every other member is a proper face of it."""
+    if not piece.closure_is_face:
         raise ValueError("piece closure is not the closure of a single face")
-    return faces[maximal[0]]
+    faces = P.face_lattice()
+    return max((faces[i] for i in piece.faces), key=lambda f: f.dim)
 
 
 def _lattice_signature(P: LabelledPolyhedron):

@@ -5,11 +5,14 @@ Everything in this module (and downstream of it) is big-integer or
 plain sequences of row sequences, vectors are tuples.  Rank, kernels and
 solving share one fraction-free Gauss-Jordan elimination (``_echelon``) on
 integer rows; ``Fraction`` appears only in the solutions returned.
+Structure-group orders are lattice indices (``lattice_index``): the gcd of
+the maximal minors, each a fraction-free determinant (``_det``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
@@ -79,10 +82,6 @@ def mat_mul(a, b):
     """The product of two matrices, as a tuple of tuple rows."""
     cols = tuple(zip(*b))
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
-
-
-def transpose(m):
-    return [list(col) for col in zip(*m)] if m else []
 
 
 def identity(n):
@@ -186,103 +185,33 @@ def solve_unique(a, b) -> Vec | None:
     return tuple(Fraction(red[c][-1], red[c][c]) for c in range(ncols))
 
 
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
+def _det(m) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination
+    (Bareiss 1968): each division by the previous pivot is exact."""
+    a = [list(row) for row in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            sign = -sign
+        for i in range(c + 1, n):
+            for j in range(c + 1, n):
+                a[i][j] = (a[i][j] * a[c][c] - a[i][c] * a[c][j]) // prev
+        prev = a[c][c]
+    return sign * a[-1][-1] if n else 1
 
 
-def _swap_cols(m, i, j):
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def smith_normal_form(m):
-    """Smith normal form of an integer matrix.
-
-    Returns (U, D, V) with ``U @ m @ V == D``, U and V unimodular, D diagonal
-    with nonnegative entries satisfying d1 | d2 | ...  Pivot selection always
-    takes a smallest-magnitude nonzero entry, which keeps the intermediate
-    numbers small at the sizes used here.
-    """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    d = [[int(x) for x in row] for row in m]
-    u = [list(row) for row in identity(rows)]
-    v = [list(row) for row in identity(cols)]
-    n = min(rows, cols)
-
-    def diagonalize(t0):
-        t = t0
-        while t < n:
-            # re-select the globally smallest nonzero entry before every
-            # reduction pass; with the pivot minimal, every quotient is a
-            # genuine Euclidean step and entries stay tame
-            while True:
-                best = None
-                for i in range(t, rows):
-                    for j in range(t, cols):
-                        if d[i][j] != 0 and (
-                            best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])
-                        ):
-                            best = (i, j)
-                if best is None:
-                    return
-                bi, bj = best
-                if bi != t:
-                    _swap_rows(d, t, bi)
-                    _swap_rows(u, t, bi)
-                if bj != t:
-                    _swap_cols(d, t, bj)
-                    _swap_cols(v, t, bj)
-                p = d[t][t]
-                clean = True
-                for i in range(t + 1, rows):
-                    if d[i][t] != 0:
-                        q = d[i][t] // p
-                        if q:
-                            d[i] = [x - q * y for x, y in zip(d[i], d[t])]
-                            u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-                        if d[i][t] != 0:
-                            clean = False
-                for j in range(t + 1, cols):
-                    if d[t][j] != 0:
-                        q = d[t][j] // p
-                        if q:
-                            for row in d:
-                                row[j] -= q * row[t]
-                            for row in v:
-                                row[j] -= q * row[t]
-                        if d[t][j] != 0:
-                            clean = False
-                if clean:
-                    break
-            t += 1
-
-    diagonalize(0)
-
-    # enforce the divisibility chain d1 | d2 | ...
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n - 1):
-            a, b = d[i][i], d[i + 1][i + 1]
-            if a != 0 and b % a != 0:
-                # pull column i+1 into column i, then re-diagonalize
-                for row in d:
-                    row[i] += row[i + 1]
-                for row in v:
-                    row[i] += row[i + 1]
-                diagonalize(i)
-                changed = True
-                break
-
-    for i in range(n):
-        if d[i][i] < 0:
-            d[i] = [-x for x in d[i]]
-            u[i] = [-x for x in u[i]]
-    return u, d, v
-
-
-def elementary_divisors(m) -> list[int]:
-    """Nonzero diagonal entries of the Smith normal form."""
-    _, d, _ = smith_normal_form(m)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0]
+def lattice_index(rows) -> int:
+    """Index of the lattice spanned by r integer rows in its saturation
+    (the integer points of their rational span): the gcd of the r x r
+    minors, which is the product of the elementary divisors (Newman,
+    *Integral Matrices*, 1972, ch. II).  0 when the rows are dependent;
+    1 for no rows."""
+    r = len(rows)
+    k = len(rows[0]) if rows else 0
+    return gcd(*(_det([[row[j] for j in cols] for row in rows])
+                 for cols in combinations(range(k), r)))

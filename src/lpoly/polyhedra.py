@@ -426,29 +426,21 @@ def is_simple(P: LabelledPolyhedron) -> bool:
 
 def is_simply_laced(P: LabelledPolyhedron) -> bool:
     """Tight labels form a lattice basis of their saturation at every face."""
-    for f in P.face_lattice():
-        codim = P.dim - f.dim
-        if len(f.tight) != codim:
-            return False
-        if codim:
-            divisors = linalg.elementary_divisors([P.labels[i].v for i in sorted(f.tight)])
-            if len(divisors) != codim or any(d != 1 for d in divisors):
-                return False
-    return True
+    return all(
+        len(f.tight) == P.dim - f.dim
+        and linalg.lattice_index([P.labels[i].v for i in f.tight]) == 1
+        for f in P.face_lattice()
+    )
 
 
 def structure_group_order(P: LabelledPolyhedron, F: Face) -> int:
-    """Order of the finite structure group at a face with independent tight labels."""
+    """Order of the finite structure group at a face with independent tight
+    labels: their lattice index in its saturation."""
     check_face(P, F)
-    rows = [P.labels[i].v for i in sorted(F.tight)]
-    if not rows:
-        return 1
-    if linalg.rank(rows) != len(rows):
+    order = linalg.lattice_index([P.labels[i].v for i in F.tight])
+    if order == 0:
         raise ValueError("positive-dimensional kernel at face")
-    out = 1
-    for d in linalg.elementary_divisors(rows):
-        out *= d
-    return out
+    return order
 
 
 def minimalize(P: LabelledPolyhedron) -> LabelledPolyhedron:

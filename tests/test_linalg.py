@@ -1,16 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpoly import linalg
-
-
-def mat_eq(a, b):
-    return [list(r) for r in a] == [list(r) for r in b]
 
 
 def det(m) -> Fraction:
@@ -33,73 +30,6 @@ def det(m) -> Fraction:
     for i in range(n):
         out *= a[i][i]
     return out
-
-
-def check_snf(m):
-    u, d, v = linalg.smith_normal_form(m)
-    rows, cols = len(m), len(m[0])
-    assert mat_eq(linalg.mat_mul(linalg.mat_mul(u, m), v), d)
-    assert abs(det(u)) == 1
-    assert abs(det(v)) == 1
-    diag = [d[i][i] for i in range(min(rows, cols))]
-    for i in range(rows):
-        for j in range(cols):
-            if i != j:
-                assert d[i][j] == 0
-    for i in range(len(diag) - 1):
-        assert diag[i] >= 0
-        if diag[i] != 0:
-            assert diag[i + 1] % diag[i] == 0
-        else:
-            assert diag[i + 1] == 0
-    return diag
-
-
-def test_snf_identity():
-    diag = check_snf([[1, 0], [0, 1]])
-    assert diag == [1, 1]
-
-
-def test_snf_diag_2_3():
-    m = [[2, 0], [0, 3]]
-    diag = check_snf(m)
-    assert diag == [1, 6]
-    assert abs(det(m)) == 6
-
-
-def test_snf_zero_row():
-    diag = check_snf([[0, 0]])
-    assert diag == [0]
-
-
-def test_snf_random():
-    rng = random.Random(7)
-    for _ in range(200):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        check_snf(m)
-
-
-def test_snf_random_larger():
-    # wider entries and dims: naive pivoting used to blow up here
-    rng = random.Random(99)
-    for _ in range(60):
-        rows = rng.randint(4, 6)
-        cols = rng.randint(4, 6)
-        m = [[rng.randint(-30, 30) for _ in range(cols)] for _ in range(rows)]
-        check_snf(m)
-
-
-def test_snf_formerly_hanging_case():
-    m = [[19, 17, -21, 8, 30],
-         [-4, -23, -24, -23, -21],
-         [-12, -19, -19, -4, -21],
-         [29, -17, 26, 5, -10],
-         [19, 1, 21, -16, 24],
-         [-14, -23, 24, 22, -7]]
-    diag = check_snf(m)
-    assert diag == [1, 1, 1, 1, 18]
 
 
 def test_primitive():
@@ -127,7 +57,7 @@ def test_rank_transpose_random():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        assert linalg.rank(m) == linalg.rank(linalg.transpose(m))
+        assert linalg.rank(m) == linalg.rank([list(c) for c in zip(*m)])
 
 
 def test_kernel_vectors_annihilate():
@@ -270,3 +200,98 @@ def test_echelon_matches_rational_rref(system):
     assert linalg.kernel_basis(m) == rref_kernel(m)
     assert linalg.solve(m, b) == rref_solve(m, b)
     assert linalg.solve_unique(m, b) == rref_solve_unique(m, b)
+
+
+# -- lattice indices against integer points of the parallelepiped --------------
+
+
+def parallelepiped_points(rows):
+    """Oracle: the number of integer points x = sum t_i a_i with every t_i in
+    [0, 1), one per coset of (saturation of the row lattice) / (row lattice);
+    0 when the rows are dependent.  On the pivot columns S of the rows they
+    restrict to an invertible B, so t solves B^T t = x_S."""
+    r = len(rows)
+    _, pivots = rref(rows)
+    if len(pivots) < r:
+        return 0
+    bt = [[row[c] for row in rows] for c in pivots]
+    cols = [rref_solve_unique(bt, [int(i == j) for i in range(r)]) for j in range(r)]
+    # t = x_S (B^T)^-1 = n / D with n an integer vector
+    D = lcm(*(t.denominator for col in cols for t in col))
+    inv = [[int(t * D) for t in col] for col in cols]
+    box = [range(sum(min(0, row[c]) for row in rows), sum(max(0, row[c]) for row in rows) + 1)
+           for c in pivots]
+    count = 0
+    for xs in itertools.product(*box):
+        n = [sum(x * col[i] for x, col in zip(xs, inv)) for i in range(r)]
+        if all(0 <= ni < D for ni in n) and all(
+                sum(ni * row[c] for ni, row in zip(n, rows)) % D == 0
+                for c in range(len(rows[0]))):
+            count += 1
+    return count
+
+
+@st.composite
+def lattice_rows(draw):
+    """r <= k <= 4 integer rows with small entries; sometimes the last row
+    is a combination of the others."""
+    k = draw(st.integers(1, 4))
+    r = draw(st.integers(1, k))
+    rows = [[draw(st.integers(-2, 2)) for _ in range(k)] for _ in range(r)]
+    if r > 1 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[-2])]
+    return rows
+
+
+def lattice_index_property(index):
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(lattice_rows())
+    @example([[1, 0], [-1, -2]])
+    @example([[2, 4, 6]])
+    @example([[1, 2], [2, 4]])
+    def prop(rows):
+        assert index(rows) == parallelepiped_points(rows)
+        if len(rows) == len(rows[0]):
+            assert index(rows) == abs(det(rows))
+
+    return prop
+
+
+def test_lattice_index_counts_parallelepiped_points():
+    lattice_index_property(linalg.lattice_index)()
+
+
+def test_lattice_index_property_catches_first_minor():
+    def first_nonzero_minor(rows):
+        minors = (linalg._det([[row[j] for j in cols] for row in rows])
+                  for cols in itertools.combinations(range(len(rows[0])), len(rows)))
+        return abs(next((m for m in minors if m), 0))
+
+    with pytest.raises(AssertionError):
+        lattice_index_property(first_nonzero_minor)()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG)),
+                                min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_lattice_index_of_square_rows_is_abs_det(m):
+    assert linalg.lattice_index(m) == abs(det(m))
+
+
+# rows of a 6 x 5 matrix whose Smith diagonal is 1, 1, 1, 1, 18
+SIX_BY_FIVE = [[19, 17, -21, 8, 30],
+               [-4, -23, -24, -23, -21],
+               [-12, -19, -19, -4, -21],
+               [29, -17, 26, 5, -10],
+               [19, 1, 21, -16, 24],
+               [-14, -23, 24, 22, -7]]
+
+
+def test_lattice_index_fixed_cases():
+    assert linalg.lattice_index([(1, 0), (-1, -2)]) == 2
+    assert linalg.lattice_index([(0, 1), (-1, -2)]) == 1
+    assert linalg.lattice_index([list(c) for c in zip(*SIX_BY_FIVE)]) == 18
+    assert linalg.lattice_index(SIX_BY_FIVE) == 0  # more rows than columns
+    assert linalg.lattice_index([]) == 1

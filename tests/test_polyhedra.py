@@ -166,13 +166,6 @@ def test_structure_group_weighted_label():
     assert structure_group_order(P, v0) == 3
 
 
-def test_simply_laced_vertex_from_snf():
-    # tight labels (1,0) and (-1,-2) span index-2 sublattice
-    from lpoly import linalg
-    assert linalg.elementary_divisors([(1, 0), (-1, -2)]) == [1, 2]
-    assert linalg.elementary_divisors([(0, 1), (-1, -2)]) == [1, 1]
-
-
 def test_unbounded_flags():
     P = LabelledPolyhedron(2, [label(1, 0, 0), label(0, 1, 0)])
     faces = P.face_lattice()

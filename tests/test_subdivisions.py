@@ -299,10 +299,6 @@ def test_validate_bad_intersection_overlapping_segments():
         "bad-intersection: cells 0 1 not a face of 1",
         "bad-intersection: cells 0 3 not a face of 0",
         "bad-intersection: cells 1 4 not a face of 1",
-        "uncovered: cell 0 facet [0]",
-        "uncovered: cell 0 facet [1]",
-        "uncovered: cell 1 facet [0]",
-        "uncovered: cell 1 facet [1]",
     ]
 
 
