@@ -210,7 +210,7 @@ def verify_decomposition_toric(P: LabelledPolyhedron, m: int) -> Report:
             rep.fail(f"multiplicity: {mu} -> {c} (expected 1)")
         if not Q.contains(tuple(Fraction(x) for x in mu), "closed"):
             rep.fail(f"outside-polytope: {mu}")
-    expected = counting.count_points(P, m) if m > 0 else (0 if P.is_empty() else 1)
+    expected = counting.count_points(P, m)
     if len(char) != expected:
         rep.fail(f"count-mismatch: {len(char)} != {expected}")
     return rep

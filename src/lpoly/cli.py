@@ -90,14 +90,17 @@ def _root_system(args) -> rootsys.RootSystem:
 
 
 def _check_args(args):
-    """Reject counts below 1 (a check of nothing would pass), negative
-    bounds and, for the weyl verbs, weights whose length is not the rank;
-    parsed weights replace their text on ``args``."""
+    """Reject counts below 1 (a check of nothing would pass, as would
+    reciprocity up to --mmax 0), negative bounds and, for the weyl verbs,
+    weights whose length is not the rank; parsed weights replace their text
+    on ``args``."""
     for name, least in (("pairs", 1), ("samples", 1), ("count", 1), ("max", 0), ("mmax", 0)):
         value = getattr(args, name, None)
         if value is not None and value < least:
             raise CliInputError(
                 f"--{name} must be {'positive' if least else 'nonnegative'}")
+    if args.subverb == "reciprocity" and args.mmax == 0:
+        raise CliInputError("--mmax must be positive")
     if args.verb == "weyl":
         for flag, name in (("--mu", "mu"), ("--lambda", "lam")):
             if getattr(args, name, None) is not None:

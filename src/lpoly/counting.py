@@ -4,9 +4,10 @@ Counts are exact and pure-int: count_points sums floors over 2-D slices of
 a dilate's bounding box, and lattice_points sweeps the box line by line,
 both with the kernels in _kernels on the dilate's label rows
 (``polyhedra._rows``; for the relative interior the implicit equalities
-stay equalities and every other label is strict).  A dilate takes its face
-lattice, hence its box, from P's, so P's lattice is built once however many
-dilates are counted.
+stay equalities and every other label is strict).  A dilate is only its
+label rows: m*P's vertices are m times P's, so its box and implicit
+equalities are read off P's face lattice, built once however many dilates
+are counted.
 The Ehrhart fit solves small linear systems over the rationals, one per
 residue class, trying period candidates in divisor order; the fitted
 quasi-polynomial is verified against every available sample before being
@@ -58,10 +59,11 @@ def _require_bounded(P: LabelledPolyhedron):
         raise ValueError("unbounded polyhedron")
 
 
-def _box(Q: LabelledPolyhedron):
-    verts = Q.vertices()
-    lo = [math.ceil(min(v[c] for v in verts)) for c in range(Q.dim)]
-    hi = [math.floor(max(v[c] for v in verts)) for c in range(Q.dim)]
+def _box(P: LabelledPolyhedron, m):
+    """The integer box of m*P, m >= 0: m*P's vertices are m times P's."""
+    verts = P.vertices()
+    lo = [math.ceil(m * min(v[c] for v in verts)) for c in range(P.dim)]
+    hi = [math.floor(m * max(v[c] for v in verts)) for c in range(P.dim)]
     return lo, hi
 
 
@@ -73,14 +75,10 @@ def _scan_setup(P: LabelledPolyhedron, m: int, region: str):
         raise ValueError("dilation factor must be nonnegative")
     if P.is_empty():
         return None
+    lo, hi = _box(P, m)
+    # 0*P is the origin, where every label is tight
+    eq = P.implicit_equalities() if m else range(len(P.labels))
     Q = dilate(P, m)
-    if m == 0:
-        # 0*P is the origin, where every label is tight
-        lo = hi = [0] * P.dim
-        eq = range(len(P.labels))
-    else:
-        lo, hi = _box(Q)
-        eq = P.implicit_equalities()
     rows = _rows(Q, eq, strict=True) if region == "interior" else _rows(Q)
     return lo, hi, rows
 
@@ -262,12 +260,12 @@ def localized_vertex_multiplicity(P: LabelledPolyhedron, m: int, xi):
         raise ValueError("empty polyhedron")
     if m < 1:
         raise ValueError("bundle shift must be >= 1")
-    Q = dilate(P, m)
+    # m*P has m times P's vertices and P's edge directions
     xi = tuple(Fraction(x) for x in xi)
-    verts = [f for f in Q.face_lattice() if f.dim == 0]
+    verts = [f for f in P.face_lattice() if f.dim == 0]
     pairings = {}
     for f in verts:
-        dirs = edge_directions(Q, f)
+        dirs = edge_directions(P, f)
         ps = [linalg.dot(u, xi) for u in dirs]
         if any(p == 0 for p in ps):
             raise ValueError("non-generic direction")
@@ -276,6 +274,6 @@ def localized_vertex_multiplicity(P: LabelledPolyhedron, m: int, xi):
     values.sort(key=lambda t: t[0])
     if len(values) > 1 and values[0][0] == values[1][0]:
         raise InvariantError("minimum must be unique")
-    nu = values[0][1].sample
+    nu = tuple(m * x for x in values[0][1].sample)
     count = sum(1 for f in verts if all(p < 0 for p in pairings[f.tight]))
     return nu, count

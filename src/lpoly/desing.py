@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyhedra import (
+    ExcessDecomposition,
     ExcessPiece,
     Label,
     LabelledPolyhedron,
@@ -50,9 +51,9 @@ def _closure_sets(P: LabelledPolyhedron, pieces: list[ExcessPiece]):
     return out
 
 
-def _piece_depths(P: LabelledPolyhedron):
-    """Longest strictly ascending closure chain starting at each piece."""
-    dec = excess_decomposition(P)
+def _piece_depths(P: LabelledPolyhedron, dec: ExcessDecomposition):
+    """Longest strictly ascending closure chain starting at each of P's
+    pieces ``dec``."""
     closures = _closure_sets(P, dec.pieces)
     n = len(dec.pieces)
     memo = [None] * n
@@ -67,14 +68,13 @@ def _piece_depths(P: LabelledPolyhedron):
         memo[i] = best
         return best
 
-    return dec, [depth_of(i) for i in range(n)]
+    return [depth_of(i) for i in range(n)]
 
 
 def depth(P: LabelledPolyhedron) -> int:
     if P.is_empty():
         raise ValueError("empty polyhedron")
-    _, depths = _piece_depths(P)
-    return max(depths)
+    return max(_piece_depths(P, excess_decomposition(P)))
 
 
 def _piece_top_face(P: LabelledPolyhedron, piece: ExcessPiece):
@@ -92,7 +92,8 @@ def _lattice_signature(P: LabelledPolyhedron):
 
 def canonical_blowup_step(P: LabelledPolyhedron, piece: ExcessPiece):
     """Append the summed label of the piece's face, offset by a stable epsilon."""
-    dec, depths = _piece_depths(P)
+    dec = excess_decomposition(P)
+    depths = _piece_depths(P, dec)
     if len(dec.pieces) == 1:
         raise ValueError("no positive-excess piece to blow up")
     idx = next((i for i, p in enumerate(dec.pieces) if p == piece), None)
@@ -100,6 +101,12 @@ def canonical_blowup_step(P: LabelledPolyhedron, piece: ExcessPiece):
         raise ValueError("piece does not belong to this polyhedron")
     if depths[idx] != max(depths):
         raise ValueError("piece is not of maximal depth")
+    return _blowup(P, dec, piece)[:3]
+
+
+def _blowup(P: LabelledPolyhedron, dec: ExcessDecomposition, piece: ExcessPiece):
+    """``canonical_blowup_step`` on a valid piece of P's decomposition
+    ``dec``; also returns the result's decomposition."""
     top = _piece_top_face(P, piece)
     tight = sorted(top.tight)
     vsum = tuple(sum(P.labels[i].v[c] for i in tight) for c in range(P.dim))
@@ -111,7 +118,6 @@ def canonical_blowup_step(P: LabelledPolyhedron, piece: ExcessPiece):
         lab = Label(vsum, rsum + eps, weighted=not linalg.is_primitive(vsum))
         return LabelledPolyhedron(P.dim, list(P.labels) + [lab]), lab
 
-    n_old = len(dec.pieces)
     eps = Fraction(1)
     cur, lab = build(eps)
     for _ in range(80):
@@ -120,8 +126,9 @@ def canonical_blowup_step(P: LabelledPolyhedron, piece: ExcessPiece):
         if not cur.is_empty() and _lattice_signature(cur) == _lattice_signature(nxt):
             # lattice stabilization is only a proxy for "below every critical
             # threshold": accept the offset once the piece count also drops
-            if len(excess_decomposition(cur).pieces) < n_old:
-                return cur, lab, eps
+            cur_dec = excess_decomposition(cur)
+            if len(cur_dec.pieces) < len(dec.pieces):
+                return cur, lab, eps, cur_dec
         eps /= 2
         cur, lab = nxt, nxt_lab
     raise ValueError("no stable blowup offset found")
@@ -133,11 +140,11 @@ def canonical_desingularization(P: LabelledPolyhedron) -> DesingularizationTrace
         raise ValueError("empty polyhedron")
     steps: list[DesingularizationStep] = []
     cur = P
-    budget = len(excess_decomposition(P).pieces) + 1
-    for _ in range(budget):
-        dec, depths = _piece_depths(cur)
+    dec = excess_decomposition(P)
+    for _ in range(len(dec.pieces) + 1):
         if len(dec.pieces) == 1:
             break
+        depths = _piece_depths(cur, dec)
         top_depth = max(depths)
         candidates = [p for p, d in zip(dec.pieces, depths) if d == top_depth]
         piece = min(
@@ -145,9 +152,8 @@ def canonical_desingularization(P: LabelledPolyhedron) -> DesingularizationTrace
             key=lambda p: tuple(sorted(_piece_top_face(cur, p).tight)),
         )
         tight = tuple(sorted(_piece_top_face(cur, piece).tight))
-        cur, lab, eps = canonical_blowup_step(cur, piece)
+        cur, lab, eps, dec = _blowup(cur, dec, piece)
         steps.append(DesingularizationStep(lab, eps, tight))
-    dec = excess_decomposition(cur)
     if len(dec.pieces) != 1:
         raise InvariantError("desingularization must reach constant excess")
 

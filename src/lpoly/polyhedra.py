@@ -155,8 +155,6 @@ class LabelledPolyhedron:
                 raise ValueError("label dimension mismatch")
         self._faces: list[Face] | None = None
         self._gens: Generators | None = None
-        # (P, m) when this is m*P with m > 0: faces and generators scale from P
-        self._dilated_from: tuple[LabelledPolyhedron, Fraction] | None = None
 
     def __repr__(self):
         return f"LabelledPolyhedron(dim={self.dim}, labels={list(self.labels)})"
@@ -206,13 +204,7 @@ class LabelledPolyhedron:
 
     def generators(self) -> Generators:
         if self._gens is None:
-            if self._dilated_from is None:
-                self._gens = self._compute_generators()
-            else:
-                P, m = self._dilated_from
-                g = P.generators()
-                points = tuple((t, tuple(m * x for x in p)) for t, p in g.points)
-                self._gens = Generators(points, g.rays, g.lineality)
+            self._gens = self._compute_generators()
         return self._gens
 
     def _compute_generators(self) -> Generators:
@@ -260,15 +252,7 @@ class LabelledPolyhedron:
 
     def face_lattice(self) -> list[Face]:
         if self._faces is None:
-            if self._dilated_from is None:
-                self._faces = self._compute_faces()
-            else:
-                P, m = self._dilated_from
-                self._faces = [
-                    Face(f.tight, f.dim, f.affine_basis, tuple(m * x for x in f.sample),
-                         f.is_bounded)
-                    for f in P.face_lattice()
-                ]
+            self._faces = self._compute_faces()
         return self._faces
 
     def _compute_faces(self) -> list[Face]:
@@ -463,20 +447,15 @@ def intersect(P: LabelledPolyhedron, Q: LabelledPolyhedron) -> LabelledPolyhedro
 
 
 def dilate(P: LabelledPolyhedron, m) -> LabelledPolyhedron:
-    """m*P.  For m > 0 the faces of m*P are those of P with samples scaled by
-    m (same tight sets, dimensions, bases and boundedness) and its generators
-    are P's points times m with P's rays and lineality, so both are taken
-    from P's instead of recomputed; m = 0 collapses the lattice and
-    recomputes it."""
+    """m*P: P's labels with every offset times m.  Like any polyhedron it
+    builds its own face lattice if asked; for m > 0 that lattice is P's with
+    samples times m, which is why counting reads m*P's box off P."""
     m = Fraction(m)
     if m < 0:
         raise ValueError("dilation factor must be nonnegative")
-    Q = LabelledPolyhedron(
+    return LabelledPolyhedron(
         P.dim, [Label(lab.v, m * lab.r, weighted=lab.weighted) for lab in P.labels]
     )
-    if m > 0:
-        Q._dilated_from = (P, m)
-    return Q
 
 
 def is_subset(P: LabelledPolyhedron, Q: LabelledPolyhedron) -> bool:

@@ -200,6 +200,11 @@ def test_polytope_rejects_negative_mmax(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert "--mmax must be nonnegative" in capsys.readouterr().err
+    # reciprocity up to --mmax 0 would check no row and pass
+    code, out = run(["polytope", "reciprocity", "--in", str(path), "--mmax", "0"])
+    assert code == 2
+    assert out == ""
+    assert "error: --mmax must be positive" in capsys.readouterr().err
     # ehrhart's --mmax defaults to the smallest bound that fits
     code, out = run(["polytope", "ehrhart", "--in", str(path)])
     assert code == 0

@@ -247,6 +247,22 @@ def test_localized_vertex_multiplicity_examples():
     assert count == 1
 
 
+def test_localized_vertex_multiplicity_of_dilates():
+    """At m the answer is that of m*P, as a polytope of its own, at m = 1."""
+    from lpoly import randgen
+
+    rng = random.Random(7)
+    cases = [(unit_square(), (1, 2)), (egyptian_pyramid(), (1, 1, 3)),
+             (segment(0, 2), (-1,)), (half_interval(), (1,)), (weighted_triangle(), (2, 3))]
+    for i in range(30):
+        P = randgen.random_lattice_polytope(rng, i % 3 + 1, full_dim=(i % 4 != 0))
+        cases.append((P, randgen.random_generic_direction(rng, P)))
+    for P, xi in cases:
+        for m in (2, 3, 7):
+            Q = LabelledPolyhedron(P.dim, dilate(P, m).labels)
+            assert localized_vertex_multiplicity(P, m, xi) == localized_vertex_multiplicity(Q, 1, xi)
+
+
 def test_localized_vertex_multiplicity_non_generic():
     with pytest.raises(ValueError):
         localized_vertex_multiplicity(unit_square(), 1, (0, 1))

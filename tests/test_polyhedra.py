@@ -14,6 +14,7 @@ from lpoly import linalg, polyhedra
 from lpoly._feasible import feasible_point
 from lpoly._kernels import count_box, scan_box
 from lpoly.polyhedra import (
+    Face,
     Label,
     LabelledPolyhedron,
     excess,
@@ -362,13 +363,16 @@ def test_subset_and_equality(square):
     ))
 
 
-# -- dilates carry the face lattice over -------------------------------------
+# -- a dilate's face lattice is P's, scaled ----------------------------------
 
 DILATIONS = (1, 2, 3, 7, Fraction(5, 2))
 
 
-def _recomputed(Q):
-    return LabelledPolyhedron(Q.dim, Q.labels).face_lattice()
+def _scaled(P, m):
+    """P's face lattice with every sample times m: m*P's lattice for m > 0,
+    up to the samples of unbounded faces, whose rays are not scaled."""
+    return [Face(f.tight, f.dim, f.affine_basis, tuple(m * x for x in f.sample), f.is_bounded)
+            for f in P.face_lattice()]
 
 
 def test_dilate_carries_face_lattice_acceptance_corpus():
@@ -376,8 +380,7 @@ def test_dilate_carries_face_lattice_acceptance_corpus():
 
     for name, P in corpus():
         for m in DILATIONS:
-            Q = polyhedra.dilate(P, m)
-            assert Q.face_lattice() == _recomputed(Q), (name, m)
+            assert polyhedra.dilate(P, m).face_lattice() == _scaled(P, m), (name, m)
 
 
 def test_dilate_carries_face_lattice_random_polytopes():
@@ -386,9 +389,12 @@ def test_dilate_carries_face_lattice_random_polytopes():
     rng = random.Random(4)
     for i in range(200):
         P = randgen.random_lattice_polytope(rng, i % 3 + 1, full_dim=(i % 4 != 0))
+        gens = P.generators()
         for m in DILATIONS:
             Q = polyhedra.dilate(P, m)
-            assert Q.face_lattice() == _recomputed(Q), (i, m)
+            assert Q.face_lattice() == _scaled(P, m), (i, m)
+            assert Q.generators().points == tuple(
+                (t, tuple(m * x for x in p)) for t, p in gens.points), (i, m)
             assert Q.is_bounded()
 
 
@@ -398,13 +404,16 @@ def test_dilate_carries_unbounded_faces():
     P = LabelledPolyhedron(2, [label(1, 0, 0), label(0, 1, 0), label(1, 2, 2)])
     for m in DILATIONS:
         Q = polyhedra.dilate(P, m)
-        got, want = Q.face_lattice(), _recomputed(Q)
+        got, want = Q.face_lattice(), _scaled(P, m)
         assert [(f.tight, f.dim, f.affine_basis, f.is_bounded) for f in got] == [
             (f.tight, f.dim, f.affine_basis, f.is_bounded) for f in want
         ]
+        assert [f.sample for f in got if f.is_bounded] == [
+            f.sample for f in want if f.is_bounded]
         assert any(not f.is_bounded for f in got) and any(f.is_bounded for f in got)
         for f in got:
             assert Q.tight_at(f.sample) == f.tight
+        assert Q.generators().rays == P.generators().rays
         assert not Q.is_bounded()
 
 
@@ -424,8 +433,6 @@ def test_dilate_by_zero_recomputes(monkeypatch):
     assert builds == [Q]
     assert [(f.dim, f.sample) for f in faces] == [(0, (0, 0, 0))]
     assert faces[0].tight == frozenset(range(len(P.labels)))
-    polyhedra.dilate(P, 3).face_lattice()
-    assert builds == [Q]
 
 
 def test_invariant_checks_survive_optimize_flag():
