@@ -94,13 +94,12 @@ def _check_args(args):
     reciprocity up to --mmax 0), negative bounds and, for the weyl verbs,
     weights whose length is not the rank; parsed weights replace their text
     on ``args``."""
-    for name, least in (("pairs", 1), ("samples", 1), ("count", 1), ("max", 0), ("mmax", 0)):
+    for name, least in (("pairs", 1), ("samples", 1), ("count", 1), ("max", 0),
+                        ("mmax", int(args.subverb == "reciprocity"))):
         value = getattr(args, name, None)
         if value is not None and value < least:
             raise CliInputError(
                 f"--{name} must be {'positive' if least else 'nonnegative'}")
-    if args.subverb == "reciprocity" and args.mmax == 0:
-        raise CliInputError("--mmax must be positive")
     if args.verb == "weyl":
         for flag, name in (("--mu", "mu"), ("--lambda", "lam")):
             if getattr(args, name, None) is not None:

@@ -7,12 +7,15 @@ their generators -- the points of the minimal faces orthogonal to the
 lineality space, the primitive extreme rays and the lineality space's
 reduced-echelon basis -- so two keys are equal exactly when the sets are.
 Face-closedness is a set lookup of every face's key among the cells' keys,
-and a cell listed twice is two equal keys.  Pairwise intersections lean on
-an exact relint-sample argument: a nonnegative affine functional vanishing
-at a relative-interior point of a convex set vanishes on all of it, so an
-intersection is automatically inside the minimal closed face around its
-sample and only the reverse inclusion needs a test, read off the face's
-generators.
+and a cell listed twice is two equal keys.  Pairwise intersections are
+decided on the same keys: I = Ci & Cj contains every face the two cells
+share, so it is a face of both iff it lies inside Q, their shared face of
+highest dimension.  A point of I lies off Q iff a label of Ci tight on Q is
+slack there, so one feasibility probe with the sum of those labels' rows
+made strict decides the pair; labels zero on all of I, whose opposite row is
+a row of either cell, are left out, and when none is left no probe is made.
+Only a pair that fails is then named, cell by cell: I is a face of Ck iff it
+lies inside the highest-dimensional face of Ck inside the other cell.
 
 Coverage is exact, by facet pairing.  When intersections are proper, a
 facet shared by two full-dimensional cells has them on opposite sides, so
@@ -27,9 +30,10 @@ checked only when every intersection passed.
 Membership in ``validate`` and ``euler_check`` is integer arithmetic on
 points scaled once (``linalg._scaled``) and tested against every cell's
 label rows; feasibility probes take the ``(c, k, strict)`` rows of
-``polyhedra._rows``: a cell, or a face's relative interior with its tight
-labels as equalities and the others strict.  ``euler_check`` still samples
-probe points: a seeded cross-check of the Euler identity.
+``polyhedra._rows``: two cells plus one strict row, a cell, or a face's
+relative interior with its tight labels as equalities and the others
+strict.  ``euler_check`` still samples probe points: a seeded cross-check
+of the Euler identity.
 """
 
 from __future__ import annotations
@@ -38,12 +42,11 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import counting, linalg
 from ._feasible import feasible_point
 from .linalg import InvariantError, _scaled
-from .polyhedra import Generators, Label, LabelledPolyhedron, _rows, _zeros, intersect
+from .polyhedra import Generators, Label, LabelledPolyhedron, _rows, intersect
 from .report import Report
 from .rootsys import RootSystem
 
@@ -53,51 +56,6 @@ class Subdivision:
     dim: int
     cells: list[LabelledPolyhedron]
     walls: list[tuple[frozenset, frozenset]] | None = None  # (sigma, tau) metadata
-
-
-def _interior_sample(P: LabelledPolyhedron, hints=()):
-    """Relative-interior sample without computing the face lattice.
-
-    A label is an implicit equality iff no point of P makes it strict.  The
-    points of P among ``hints``, points already scaled to ``(X, d)`` by
-    ``_scaled``, or one feasibility witness when there are none, start a set
-    of witnesses, and a label strict at a witness is not an
-    equality, while a label whose opposite row (-c, -k) is also a label's
-    row is one, whatever their ``weighted`` flags.
-    The labels left are probed together: the sum of their slacks is positive
-    somewhere on P iff one of them is strict there, so an infeasible probe
-    proves them all equalities, and a feasible one adds a witness strict on
-    at least one of them.  Every label that is not an equality ends strict
-    at some witness, so the average of the witnesses is strict on exactly
-    those labels: a relative-interior point.  None when P is empty.
-    """
-    base = _rows(P)
-    witnesses = [Xd for Xd in hints if P._holds(*Xd)]
-    if not witnesses:
-        w = feasible_point(base, P.dim)
-        if w is None:
-            return None
-        witnesses = [_scaled(w)]
-    present = {lab.row for lab in P.labels}
-    pending = {i for i, (c, k) in enumerate(lab.row for lab in P.labels)
-               if (tuple(-x for x in c), -k) not in present}
-    for X, d in witnesses:
-        pending.intersection_update(_zeros(P._signs(X, d)))
-    while pending:
-        labs = [P.labels[i] for i in pending]
-        coeffs = tuple(map(sum, zip(*(lab.v for lab in labs))))
-        const = -sum(lab.r for lab in labs)
-        p = feasible_point(base + [(coeffs, const, True)], P.dim)
-        if p is None:
-            break
-        X, d = _scaled(p)
-        witnesses.append((X, d))
-        pending.intersection_update(_zeros(P._signs(X, d)))
-    # the average of the witnesses X/d, over their common denominator
-    D = lcm(*(d for _, d in witnesses))
-    total = [sum(c) for c in zip(*([x * (D // d) for x in X] for X, d in witnesses))]
-    n = len(witnesses) * D
-    return tuple(Fraction(c, n) for c in total)
 
 
 def _face_inside(cell: LabelledPolyhedron, tight, other: LabelledPolyhedron) -> bool:
@@ -115,6 +73,27 @@ def _face_inside(cell: LabelledPolyhedron, tight, other: LabelledPolyhedron) -> 
         and all(linalg.dot(lab.v, d) >= 0 for _, d in rays for lab in other.labels)
         and all(linalg.dot(lab.v, d) == 0 for d in lineality for lab in other.labels)
     )
+
+
+def _meets_off(cell: LabelledPolyhedron, face, base) -> bool:
+    """Has the intersection of ``cell`` with another cell, whose rows and
+    ``cell``'s make ``base``, a point off the closed ``face`` of ``cell``
+    (any point at all when ``face`` is None, the empty face)?
+
+    Such a point makes some label tight on the face slack, so one probe
+    asks for a positive sum of those labels' rows.  A label whose opposite
+    row is among ``base`` is zero on the whole intersection and is left out;
+    when no label is left, the intersection lies inside the face.
+    """
+    if face is None:
+        return feasible_point(base, cell.dim) is not None
+    present = {(c, k) for c, k, _ in base}
+    slack = [(c, k) for c, k in (cell.labels[i].row for i in face.tight)
+             if (tuple(-x for x in c), -k) not in present]
+    if not slack:
+        return False
+    row = (tuple(map(sum, zip(*(c for c, _ in slack)))), sum(k for _, k in slack), True)
+    return feasible_point(base + [row], cell.dim) is not None
 
 
 def _interest_box(S: Subdivision, pad: int = 1):
@@ -172,10 +151,12 @@ def validate(S: Subdivision, region: str = "all") -> Report:
                 rep.fail(f"missing-face: cell {ci} face {sorted(f.tight)}")
 
     # (b) no cell is listed twice, and pairwise intersections are closed
-    # faces of each.  Q lies inside the minimal closed face of each cell
-    # around its relint sample q, so it is that face iff the face lies
-    # inside the other cell.
-    hints = [[_scaled(f.sample) for f in c.face_lattice()] for c in cells]
+    # faces of each.  I = Ci & Cj contains every face the cells share, so it
+    # is a face of both iff it lies inside Q, their shared face of highest
+    # dimension (the empty face when they share none).
+    rows = [_rows(c) for c in cells]
+    # each cell's faces by key, highest dimension first
+    by_key = [{key: f for f, key in sorted(cf, key=lambda fk: -fk[0].dim)} for cf in faces]
     proper = True
     for ci in range(len(cells)):
         for cj in range(ci + 1, len(cells)):
@@ -183,11 +164,17 @@ def validate(S: Subdivision, region: str = "all") -> Report:
                 rep.fail(f"duplicate-cell: cells {ci} {cj}")
                 proper = False
                 continue
-            q = _interior_sample(intersect(cells[ci], cells[cj]), hints[ci])
-            if q is None:
-                continue  # empty intersection: the trivial common face
+            base = rows[ci] + rows[cj]
+            Q = next((f for key, f in by_key[ci].items() if key in by_key[cj]), None)
+            if not _meets_off(cells[ci], Q, base):
+                continue
+            # I is a face of Ck iff it lies inside G, the highest-dimensional
+            # face of Ck inside the other cell
             for ck, other in ((ci, cj), (cj, ci)):
-                if not _face_inside(cells[ck], cells[ck].tight_at(q), cells[other]):
+                G = max((f for f in cells[ck].face_lattice()
+                         if _face_inside(cells[ck], f.tight, cells[other])),
+                        key=lambda f: f.dim, default=None)
+                if _meets_off(cells[ck], G, base):
                     rep.fail(f"bad-intersection: cells {ci} {cj} not a face of {ck}")
                     proper = False
 
@@ -238,12 +225,12 @@ def euler_check(S: Subdivision, samples: int, seed: int = 0, region: str = "all"
     lo, hi, face_samples = box
     rng = random.Random(seed)
     inside = _region(region, S.dim)
-    probes = [p for p in dict.fromkeys(face_samples) if inside._holds(*_scaled(p))]
+    probes = [p for p in dict.fromkeys(face_samples) if inside.contains(p)]
     while len(probes) < samples:
         p = tuple(
             Fraction(rng.randint(int(a * 7), int(b * 7)), 7) for a, b in zip(lo, hi)
         )
-        if inside._holds(*_scaled(p)):
+        if inside.contains(p):
             probes.append(p)
     probes = probes[:samples]
     k = S.dim

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lpoly import randgen
 from lpoly._kernels import _floor_sum, count_box, scan_box
 from lpoly.counting import (
     QuasiPolynomial,
@@ -182,6 +183,22 @@ def test_reciprocity_pyramid_and_half_interval():
     assert qp(-1) == 0
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans())
+def test_reciprocity_and_fit_on_random_polytopes(seed, k, full_dim):
+    """On hulls of random lattice points every reciprocity row up to m = 4
+    holds, and the Ehrhart fit over its smallest window predicts the count
+    at three dilates past that window."""
+    P = randgen.random_lattice_polytope(random.Random(seed), k, full_dim=full_dim)
+    _, rows = reciprocity_check(P, 4)
+    assert [m for m, *_ in rows] == [1, 2, 3, 4]
+    assert all(ok for *_, ok in rows), rows
+    window = vertex_denominator_lcm(P) * (P.body_dim() + 1) - 1
+    qp = ehrhart_fit(P)
+    for m in (window + 1, window + 2, window + 5):
+        assert qp(m) == count_points(P, m)
+
+
 def test_brion_interval():
     assert brion_evaluate(segment(0, 1), (3,)) == 4
 
@@ -249,8 +266,6 @@ def test_localized_vertex_multiplicity_examples():
 
 def test_localized_vertex_multiplicity_of_dilates():
     """At m the answer is that of m*P, as a polytope of its own, at m = 1."""
-    from lpoly import randgen
-
     rng = random.Random(7)
     cases = [(unit_square(), (1, 2)), (egyptian_pyramid(), (1, 1, 3)),
              (segment(0, 2), (-1,)), (half_interval(), (1,)), (weighted_triangle(), (2, 3))]

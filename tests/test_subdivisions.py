@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,13 +9,13 @@ import pytest
 from lpoly._feasible import feasible_point
 from lpoly import subdivisions
 from lpoly.linalg import _scaled
-from lpoly.polyhedra import LabelledPolyhedron, Label, closed_face, intersect, label, same_set
-from lpoly.randgen import random_lattice_polytope
+from lpoly.polyhedra import (
+    LabelledPolyhedron, Label, _rows, closed_face, intersect, label, same_set)
+from lpoly.randgen import random_lattice_polytope, seeded_dominant_points
 from lpoly.rootsys import principal_wall, root_system
 from lpoly.subdivisions import (
     Subdivision,
     _face_inside,
-    _interior_sample,
     _key,
     dual_subdivision,
     euler_check,
@@ -384,38 +385,106 @@ def test_validate_duplicate_cell():
     ]
 
 
-# -- relative-interior samples and face containment ----------------------------
+# -- pair verdicts against sets -------------------------------------------------
 
 
-def dual_subdivision_pairs():
-    for name, lam in (
-        ("A2", (Fraction(3, 2), Fraction(5, 3))),
-        ("B2", (1, 2)),
-        ("A3", (1, Fraction(3, 2), 2)),
-    ):
-        S = dual_subdivision(root_system(name), lam)
-        for i, ci in enumerate(S.cells):
-            for cj in S.cells[i + 1:]:
+def not_a_face(I, cell):
+    """Oracle: I, inside ``cell``, is nonempty and ``same_set`` with no
+    closed face of ``cell``.  Were I the closed face F, every face whose
+    sample lies in I would be a face of F, so F alone is compared: the first
+    face of highest dimension among those."""
+    if feasible_point(_rows(I), I.dim) is None:
+        return False
+    inside = [f for f in cell.face_lattice() if I.contains(f.sample)]
+    return not inside or not same_set(I, closed_face(cell, max(inside, key=lambda f: f.dim)))
+
+
+def verdict_cells(rng):
+    """Pools of same-dimension cells: the A2, B2, G2 and A3 dual subdivisions
+    at two seeded shift points each, random lattice-point hulls with the
+    closed faces of some of them, and segments and points around 0, where
+    mirror labels (v, r) and (-v, r) are not opposites."""
+    for name in ("A2", "B2", "G2", "A3"):
+        R = root_system(name)
+        yield [c for lam in seeded_dominant_points(R, 71, 2)
+               for c in dual_subdivision(R, lam).cells]
+    for k in (1, 2, 3):
+        hulls = [random_lattice_polytope(rng, k, coord_range=3, full_dim=bool(i % 2))
+                 for i in range(6)]
+        yield hulls + [closed_face(P, f) for P in hulls[:2] for f in P.face_lattice()]
+    yield ([segment(a, b) for a, b in itertools.combinations(range(-2, 3), 2)]
+           + [point_cell(x) for x in range(-2, 3)])
+
+
+def relabelled(rng, cell):
+    """``cell`` with duplicated, flipped and weighted (2v, 2r) or (-3v, -3r)
+    labels appended, so that some label rows are exact opposites."""
+    labs = list(cell.labels)
+    for _ in range(rng.randint(1, 3)):
+        lab = rng.choice(labs)
+        labs.append(rng.choice((
+            lab,
+            lab.flipped(),
+            Label(tuple(2 * x for x in lab.v), 2 * lab.r, weighted=True),
+            Label(tuple(-3 * x for x in lab.v), -3 * lab.r, weighted=True),
+        )))
+    rng.shuffle(labs)
+    return LabelledPolyhedron(cell.dim, labs)
+
+
+def verdict_pairs(rng, per_pool=100):
+    for pool in verdict_cells(rng):
+        pairs = list(itertools.combinations(pool, 2))
+        yield from rng.sample(pairs, min(per_pool, len(pairs)))
+        for _ in range(per_pool // 2):
+            ci, cj = rng.sample(pool, 2)
+            ci = relabelled(rng, ci)
+            if not ci.is_empty():
                 yield ci, cj
 
 
-def probed_equalities(P):
-    """Labels no point of P makes strict: one feasibility probe per label."""
-    rows = [(lab.v, -lab.r, False) for lab in P.labels]
-    return frozenset(
-        i for i, lab in enumerate(P.labels)
-        if feasible_point(rows + [(lab.v, -lab.r, True)], P.dim) is None
-    )
+def test_pair_verdicts_match_set_oracle():
+    """``validate`` on two cells names ck exactly when their intersection is
+    nonempty and no closed face of ck is the same set."""
+    rng = random.Random(71)
+    verdicts = Counter()
+    for ci, cj in verdict_pairs(rng):
+        lines = validate(Subdivision(ci.dim, [ci, cj])).lines
+        I = intersect(ci, cj)
+        for ck, cell in enumerate((ci, cj)):
+            want = not_a_face(I, cell)
+            got = f"bad-intersection: cells 0 1 not a face of {ck}" in lines
+            assert got == want, (ci, cj, ck, lines)
+            verdicts[want] += 1
+    assert verdicts[True] >= 200 and verdicts[False] >= 1000, verdicts
 
 
-def test_interior_sample_dual_subdivision_pairs():
-    for ci, cj in dual_subdivision_pairs():
-        Q = intersect(ci, cj)
-        hints = [_scaled(f.sample) for f in ci.face_lattice()]
-        eq = probed_equalities(Q)
-        for q in (_interior_sample(Q), _interior_sample(Q, hints)):
-            assert Q.contains(q, "closed")
-            assert Q.tight_at(q) == eq
+def test_passing_dual_subdivisions_probe_each_pair_at_most_once(monkeypatch):
+    """A proper pair costs at most one probe and coverage one per cell, and
+    no face is tested against the other cell."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(subdivisions, "feasible_point",
+                        counted("feasible_point", subdivisions.feasible_point))
+    monkeypatch.setattr(subdivisions, "_face_inside",
+                        counted("_face_inside", subdivisions._face_inside))
+    for name, lam in (("A2", (Fraction(3, 2), Fraction(5, 3))), ("B2", (2, Fraction(1, 3))),
+                      ("G2", (1, Fraction(2, 5))), ("A3", (1, Fraction(3, 2), 2))):
+        S = dual_subdivision(root_system(name), lam)
+        calls.clear()
+        assert validate(S, region="dominant").ok
+        n = len(S.cells)
+        assert 0 < calls["feasible_point"] <= n * (n - 1) // 2 + n
+        assert calls["_face_inside"] == 0
+
+
+# -- face containment ------------------------------------------------------------
 
 
 def random_labels(rng, k, n):
@@ -425,71 +494,6 @@ def random_labels(rng, k, n):
         if any(v):
             labs.append(label(*v, Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))))
     return labs
-
-
-def test_interior_sample_duplicated_and_opposite_labels():
-    rng = random.Random(53)
-    empty = 0
-    for _ in range(150):
-        k = rng.randint(1, 3)
-        labs = random_labels(rng, k, rng.randint(1, k + 3))
-        for _ in range(rng.randint(0, 3)):
-            lab = rng.choice(labs)
-            labs.append(rng.choice((
-                lab,
-                lab.flipped(),
-                Label(tuple(2 * x for x in lab.v), 2 * lab.r, weighted=True),
-                Label(tuple(-3 * x for x in lab.v), -3 * lab.r, weighted=True),
-            )))
-        rng.shuffle(labs)
-        P = LabelledPolyhedron(k, labs)
-        hints = [_scaled(tuple(Fraction(rng.randint(-9, 9), 3) for _ in range(k)))
-                 for _ in range(4)]
-        for q in (_interior_sample(P), _interior_sample(P, hints)):
-            if P.is_empty():
-                assert q is None
-            else:
-                assert P.contains(q, "closed")
-                assert P.tight_at(q) == P.implicit_equalities()
-        empty += P.is_empty()
-    assert 0 < empty < 150
-
-
-def test_interior_sample_mirror_labels_are_not_opposites():
-    """Only an exact opposite (-v, -r) pins a label: the strip -1 <= x <= 1
-    has labels (1, -1) and (-1, -1), neither an equality, while the point
-    x = 1 is cut out by a real opposite pair, one half listed twice."""
-    strip = LabelledPolyhedron(1, [label(1, -1), label(-1, -1)])
-    for hints in ((), [_scaled((Fraction(-1),))], [_scaled((Fraction(1),))]):
-        q = _interior_sample(strip, hints)
-        assert strip.tight_at(q) == frozenset()
-    point = LabelledPolyhedron(1, [label(1, 0), label(-1, -1), label(1, 1), label(-1, -1)])
-    q = _interior_sample(point, [_scaled((Fraction(1),))])
-    assert q == (Fraction(1),)
-    assert point.tight_at(q) == point.implicit_equalities() == frozenset({1, 2, 3})
-
-
-def test_interior_sample_opposite_pair_with_different_weighted_flags(monkeypatch):
-    """x1 >= 0 and -x1 >= 0, one of them flagged weighted, are an exact
-    opposite pair: the samples are those of the same system with both labels
-    unweighted, exact Fractions even from int hints, and with a witness strict
-    on every other label no probe is made."""
-    labs = [Label((1, 0), 0), label(0, 1, 0), Label((-1, 0), 0, weighted=True),
-            label(0, -1, -2), label(1, 1, -5)]
-    P = LabelledPolyhedron(2, labs)
-    unweighted = LabelledPolyhedron(2, labs[:2] + [label(-1, 0, 0)] + labs[3:])
-    hint_sets = [list(map(_scaled, h))
-                 for h in ((), [(0, Fraction(1, 2))], [(0, 0), (0, 2), (1, 1)])]
-    samples = [(0, 1), (0, Fraction(1, 2)), (0, 1)]
-    assert [_interior_sample(unweighted, h) for h in hint_sets] == samples
-    probes = []
-    monkeypatch.setattr(subdivisions, "feasible_point",
-                        lambda rows, n: probes.append(rows) or feasible_point(rows, n))
-    for hints, want in zip(hint_sets, samples):
-        q = _interior_sample(P, hints)
-        assert q == want and all(type(c) is Fraction for c in q)
-        assert P.tight_at(q) == P.implicit_equalities() == frozenset({0, 2})
-    assert len(probes) == 1  # the feasibility witness when there are no hints
 
 
 def face_inside_by_probes(cell, tight, other):
