@@ -1,15 +1,15 @@
 """Exact feasibility of mixed strict/weak rational inequality systems.
 
 A row ``(coeffs, const, strict)`` encodes ``coeffs . t + const >= 0`` (or
-``> 0`` when strict); entries are ``int`` or ``Fraction``, and a labelled
-polyhedron gives its rows through ``polyhedra._rows``.  On entry each row is
-scaled by the common denominator of its entries (``linalg._scaled``) and
-divided by their gcd, so Fourier-Motzkin elimination runs on coprime integer
-rows.  ``Fraction`` appears only in back-substitution, which produces an
-exact rational witness, and in the final check of that witness against the
-caller's rows.  The systems handled here are tiny (<= ~20 rows, <= 6
-variables), so the quadratic blowup of elimination never matters once
-duplicate and dominated rows are pruned.
+``> 0`` when strict) with ``int`` entries only, as ``polyhedra._rows`` gives
+them; a ``Fraction`` or float entry raises TypeError.  On entry each row is
+divided by the gcd of its entries, so Fourier-Motzkin elimination runs on
+coprime integer rows and duplicate rows share one key.  ``Fraction``
+appears only in back-substitution, which produces an exact rational
+witness, and in the final check of that witness against the caller's rows.
+The systems handled here are tiny (<= ~20 rows, <= 6 variables), so the
+quadratic blowup of elimination never matters once duplicate and dominated
+rows are pruned.
 """
 
 from __future__ import annotations
@@ -23,17 +23,12 @@ Row = tuple[tuple[int, ...], int, bool]
 
 
 def _normalize(coeffs: tuple[int, ...], const: int, strict: bool) -> Row:
-    """Divide an integer row by the gcd of its entries."""
+    """Divide an integer row by the gcd of its entries; ``math.gcd`` raises
+    TypeError on a ``Fraction`` or float entry."""
     g = gcd(*coeffs, const)
     if g > 1:
         return tuple(x // g for x in coeffs), const // g, strict
     return coeffs, const, strict
-
-
-def _integer_row(coeffs, const, strict: bool) -> Row:
-    """Scale an int/Fraction row by its positive common denominator."""
-    *ints, c = _scaled((*coeffs, const))[0]
-    return _normalize(tuple(ints), c, strict)
 
 
 def _prune(rows: list[Row]) -> list[Row] | None:
@@ -104,11 +99,12 @@ def feasible_point(rows, nvars: int):
     """An exact rational point satisfying every row, or None.
 
     ``rows`` are (coeffs, const, strict) triples over ``nvars`` variables
-    with ``int`` or ``Fraction`` entries.  Raises InvariantError if the witness
-    fails the rows, which would be a bug in elimination.
+    with ``int`` entries; any other entry raises TypeError.  Raises
+    InvariantError if the witness fails the rows, which would be a bug in
+    elimination.
     """
     levels = []
-    cur = _prune([_integer_row(c, k, s) for c, k, s in rows])
+    cur = _prune([_normalize(c, k, s) for c, k, s in rows])
     if cur is None:
         return None
     for _ in range(nvars):

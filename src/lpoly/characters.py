@@ -340,10 +340,3 @@ def format_tcharacter(char: TCharacter) -> str:
     for e in sorted(char):
         lines.append(f"{char[e]}\t{' '.join(str(x) for x in e)}")
     return "\n".join(lines)
-
-
-def format_gcharacter(char: GCharacter) -> str:
-    lines = []
-    for e in sorted(char):
-        lines.append(f"{char[e]}\tchi {' '.join(str(x) for x in e)}")
-    return "\n".join(lines)

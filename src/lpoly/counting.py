@@ -219,17 +219,18 @@ def edge_directions(P: LabelledPolyhedron, vertex: Face):
 def brion_evaluate(P: LabelledPolyhedron, z) -> Fraction:
     """Vertex-cone localization of the lattice-point sum at a rational point.
 
-    Each vertex contributes z^vertex over the product of (1 - z^edge); for a
-    simply laced lattice polytope the total equals the plain Laurent sum over
-    lattice points.
+    Each vertex contributes z^vertex over the product of (1 - z^edge).  The
+    total equals the plain Laurent sum over lattice points only when every
+    vertex cone is unimodular, so P must be simply laced; a simple polytope
+    with a cone that is not unimodular raises ValueError.
     """
-    from .polyhedra import is_simple
+    from .polyhedra import is_simply_laced
 
     _require_bounded(P)
     if P.is_empty():
         raise ValueError("empty polyhedron")
-    if not is_simple(P):
-        raise ValueError("non-simple polyhedron")
+    if not is_simply_laced(P):
+        raise ValueError("not simply laced: some vertex cone is not unimodular")
     z = tuple(Fraction(x) for x in z)
     if len(z) != P.dim or any(x == 0 for x in z):
         raise ValueError("evaluation point must be nonzero rationals of full length")

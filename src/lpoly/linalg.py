@@ -59,8 +59,10 @@ def vsub(a, b):
 def _scaled(x) -> tuple[list[int], int]:
     """(X, d) with X = d*x integral, d the lcm of the denominators of x.
 
-    Membership and elimination scale their points and rows here, and a
-    float raises TypeError here.
+    Membership and the feasibility witness check scale their points here,
+    elimination its matrix rows, and a float raises TypeError here.  No
+    half-space row passes through here: ``Label.row`` is built integral and
+    Fourier-Motzkin takes integer rows only.
     """
     try:
         d = lcm(*(t.denominator for t in x))

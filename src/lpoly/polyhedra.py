@@ -43,7 +43,12 @@ class Label:
     scaled vector (``weighted=True``); the scale changes orbifold structure
     but not the underlying set.  ``row`` is ``(r.denominator * v,
     -r.numerator)``, the integer row (c, k) of <x, c> + k >= 0, set once: an
-    attribute, not a field, so equality, hashing and repr ignore it.
+    attribute, not a field, so equality, hashing and repr ignore it.  For an
+    unweighted label the row is coprime, since v is primitive and so
+    gcd(den * v, num) = gcd(den, num) = 1.  A weighted label's row can share
+    a factor.  It is not divided here: Fourier-Motzkin divides every row by
+    its gcd on entry, and membership and the lattice kernels are exact on
+    any positive multiple of a row.
     """
 
     v: tuple[int, ...]
@@ -337,19 +342,6 @@ def check_face(P: LabelledPolyhedron, F: Face):
         raise ValueError("not a face of this polyhedron")
 
 
-def face_labels(P: LabelledPolyhedron, F: Face):
-    """(tight labels S_F, label list of the closed face: S plus flipped S_F)."""
-    check_face(P, F)
-    tight = [P.labels[i] for i in sorted(F.tight)]
-    restricted = list(P.labels) + [lab.flipped() for lab in tight]
-    return tight, restricted
-
-
-def closed_face(P: LabelledPolyhedron, F: Face) -> LabelledPolyhedron:
-    _, restricted = face_labels(P, F)
-    return LabelledPolyhedron(P.dim, restricted)
-
-
 def excess(P: LabelledPolyhedron, F: Face) -> int:
     check_face(P, F)
     return len(F.tight) - (P.dim - F.dim)
@@ -456,39 +448,6 @@ def dilate(P: LabelledPolyhedron, m) -> LabelledPolyhedron:
     return LabelledPolyhedron(
         P.dim, [Label(lab.v, m * lab.r, weighted=lab.weighted) for lab in P.labels]
     )
-
-
-def is_subset(P: LabelledPolyhedron, Q: LabelledPolyhedron) -> bool:
-    """Exact containment P <= Q of the underlying sets."""
-    base = _rows(P)
-    for lab in Q.labels:
-        if feasible_point(base + [_opposite(lab, True)], P.dim) is not None:
-            return False
-    return True
-
-
-def same_set(P: LabelledPolyhedron, Q: LabelledPolyhedron) -> bool:
-    return is_subset(P, Q) and is_subset(Q, P)
-
-
-def face_join(P: LabelledPolyhedron, F1: Face, F2: Face) -> Face:
-    """Smallest face whose closure contains both (always exists)."""
-    mid = tuple((a + b) / 2 for a, b in zip(F1.sample, F2.sample))
-    tight = P.tight_at(mid)
-    lookup = {f.tight: f for f in P.face_lattice()}
-    return lookup[tight]
-
-
-def face_meet(P: LabelledPolyhedron, F1: Face, F2: Face) -> Face | None:
-    """Open face whose closure is cl(F1) & cl(F2), or None when empty."""
-    want = F1.tight | F2.tight
-    candidates = [f for f in P.face_lattice() if f.tight >= want]
-    if not candidates:
-        return None
-    top = max(candidates, key=lambda f: f.dim)
-    if not all(below(f, top) for f in candidates):
-        raise InvariantError("face intersection is not a face")
-    return top
 
 
 # -- .lpoly text format -------------------------------------------------------

@@ -341,17 +341,3 @@ def dual_subdivision(R: RootSystem, lam) -> Subdivision:
         key=lambda i: (sorted(walls_meta[i][1]), sorted(walls_meta[i][0])),
     )
     return Subdivision(k, [cells[i] for i in order], [walls_meta[i] for i in order])
-
-
-def wall_alternating_sums(S: Subdivision, delta: LabelledPolyhedron) -> dict:
-    """Per-wall alternating count of subdivision cells meeting delta."""
-    if S.walls is None:
-        raise ValueError("subdivision carries no wall metadata")
-    sums: dict = {}
-    delta_rows = _rows(delta)
-    for (sigma, tau), cell in zip(S.walls, S.cells):
-        rows = delta_rows + _rows(cell)
-        if feasible_point(rows, delta.dim) is None:
-            continue
-        sums[tau] = sums.get(tau, 0) + (-1) ** (len(tau) - len(sigma))
-    return sums

@@ -216,8 +216,6 @@ def test_quantum_dh_rejects_outside_point():
 def test_format_characters():
     out = ch.format_tcharacter({(1, 0): 2, (-1, 2): -1})
     assert out.splitlines() == ["-1\t-1 2", "2\t1 0"]
-    out = ch.format_gcharacter({(3,): 1})
-    assert out == "1\tchi 3"
 
 
 def test_laurent_division_check_survives_optimize_flag():

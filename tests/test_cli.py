@@ -73,10 +73,19 @@ def test_ehrhart_and_reciprocity(tmp_path):
     assert "result: pass" in out
 
 
-def test_brion(square_file):
+def test_brion(square_file, tmp_path, capsys):
     code, out = run(["polytope", "brion", "--in", square_file, "--z", "2,3"])
     assert code == 0
     assert out.strip() == "12"
+    # simple but not simply laced: an input error, not a wrong number
+    tri = tmp_path / "tri.lpoly"
+    tri.write_text("dim 2\nlabel 2 -1 ; 0\nlabel -1 2 ; 0\nlabel -1 -1 ; -3\n")
+    capsys.readouterr()
+    code, out = run(["polytope", "brion", "--in", str(tri), "--z", "2,3"])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == (
+        "error: not simply laced: some vertex cone is not unimodular\n")
 
 
 def test_desing_roundtrip(pyramid_file):

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -216,6 +217,10 @@ def test_brion_triangle():
     assert brion_evaluate(P, z) == expected
 
 
+def _random_z(rng, k):
+    return tuple(Fraction(rng.randint(2, 7), rng.randint(1, 3)) for _ in range(k))
+
+
 def test_brion_oracle_random_points():
     rng = random.Random(17)
     polys = [segment(0, 1), unit_square(), unit_cube(), standard_simplex(3)]
@@ -225,9 +230,7 @@ def test_brion_oracle_random_points():
         }
         hits = 0
         while hits < 3:
-            z = tuple(
-                Fraction(rng.randint(2, 7), rng.randint(1, 3)) for _ in range(P.dim)
-            )
+            z = _random_z(rng, P.dim)
             try:
                 got = brion_evaluate(P, z)
             except ValueError:
@@ -235,6 +238,21 @@ def test_brion_oracle_random_points():
             val = sum(c * _pow(z, pt) for pt, c in expected.items())
             assert got == val
             hits += 1
+    # seeded lattice polytopes, most of them simple but not simply laced:
+    # each is rejected or evaluates to the direct Laurent sum
+    rng = random.Random(5)
+    evaluated = Counter()
+    for i in range(80):
+        P = randgen.random_lattice_polytope(rng, 2 + i % 2, coord_range=3)
+        for z in (_random_z(rng, P.dim) for _ in range(3)):
+            try:
+                got = brion_evaluate(P, z)
+            except ValueError:
+                continue  # not simply laced, or a pole
+            assert got == sum(_pow(z, pt) for pt in lattice_points(P, 1)), (i, P, z)
+            evaluated[P.dim] += 1
+            break
+    assert sum(evaluated.values()) >= 5 and evaluated[3] >= 1, evaluated
 
 
 def _pow(z, w):
@@ -251,6 +269,10 @@ def test_brion_errors():
         brion_evaluate(half_interval(), (2,))  # non-lattice vertex
     with pytest.raises(ValueError):
         brion_evaluate(segment(0, 1), (1,))  # pole
+    with pytest.raises(ValueError):
+        # simple, but the cone at (0, 0) has index 3: the formula gives 31, not 37
+        brion_evaluate(LabelledPolyhedron(2, [label(2, -1, 0), label(-1, 2, 0),
+                                              label(-1, -1, -3)]), (2, 3))
 
 
 def test_localized_vertex_multiplicity_examples():

@@ -2,9 +2,10 @@
 
 ``data/feasible_corpus.txt`` holds feasibility calls recorded from the
 criterion-6 and criterion-7 workloads, each with the verdict and witness the
-Fraction-row core returned.  The integer-row core must return the identical
-witness for every call, whether the rows hold ints or Fractions, and every
-witness must satisfy its rows in exact arithmetic.
+Fraction-row core returned.  The core takes integer rows only, so the loader
+scales each recorded row by the lcm of its denominators; the core must
+return the identical witness for every call, every witness must satisfy its
+rows in exact arithmetic, and a Fraction or float entry raises TypeError.
 """
 
 import os
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -19,10 +21,6 @@ import pytest
 from lpoly._feasible import feasible_point
 
 CORPUS = Path(__file__).parent / "data" / "feasible_corpus.txt"
-
-
-def _number(token):
-    return Fraction(token) if "/" in token else int(token)
 
 
 def load_corpus():
@@ -38,8 +36,10 @@ def load_corpus():
         for line in lines[2:-1]:
             op, *rest = line.split()
             semi = rest.index(";")
-            coeffs = tuple(_number(t) for t in rest[:semi])
-            rows.append((coeffs, _number(rest[semi + 1]), op == ">"))
+            entries = [Fraction(t) for t in rest[:semi] + [rest[semi + 1]]]
+            d = lcm(*(x.denominator for x in entries))
+            *coeffs, const = (int(x * d) for x in entries)
+            rows.append((tuple(coeffs), const, op == ">"))
         point = lines[-1].split()[1:]
         expected = None if point == ["none"] else tuple(Fraction(t) for t in point)
         calls.append((name, rows, nvars, expected))
@@ -47,10 +47,6 @@ def load_corpus():
 
 
 CALLS = load_corpus()
-
-
-def _as_fractions(rows):
-    return [(tuple(Fraction(x) for x in c), Fraction(k), s) for c, k, s in rows]
 
 
 def _exactly_satisfied(rows, point):
@@ -69,7 +65,8 @@ def test_corpus_covers_the_cases():
     assert any(e is not None for _, _, _, e in CALLS)
     rows = [r for _, rs, _, _ in CALLS for r in rs]
     assert any(s for _, _, s in rows) and any(not s for _, _, s in rows)
-    assert any(isinstance(k, Fraction) for _, k, _ in rows)
+    assert "/" in CORPUS.read_text()  # rational rows, scaled by the loader
+    assert all(type(x) is int for c, k, _ in rows for x in (*c, k))
     assert {n for _, _, n, _ in CALLS} == {0, 1, 2, 3}
     for name, rs, n, e in CALLS:
         assert all(len(c) == n for c, _, _ in rs), name
@@ -78,11 +75,10 @@ def test_corpus_covers_the_cases():
 
 def test_corpus_verdicts_and_witnesses_identical():
     for i, (name, rows, nvars, expected) in enumerate(CALLS):
-        for form in (rows, _as_fractions(rows)):
-            got = feasible_point(form, nvars)
-            assert got == expected, f"call {i} ({name}): {got} != {expected}"
-            if got is not None:
-                assert all(type(t) is Fraction for t in got), f"call {i} ({name})"
+        got = feasible_point(rows, nvars)
+        assert got == expected, f"call {i} ({name}): {got} != {expected}"
+        if got is not None:
+            assert all(type(t) is Fraction for t in got), f"call {i} ({name})"
 
 
 def test_corpus_witnesses_satisfy_rows():
@@ -92,10 +88,12 @@ def test_corpus_witnesses_satisfy_rows():
 
 
 def test_float_entries_rejected():
-    with pytest.raises(TypeError):
-        feasible_point([((0.5,), 0, False)], 1)
-    with pytest.raises(TypeError):
-        feasible_point([((1,), 0.25, True)], 1)
+    """Rows are integers only: a float or a Fraction entry, even an integral
+    one, raises TypeError."""
+    for row in [((0.5,), 0, False), ((1,), 0.25, True), ((Fraction(1, 2),), 0, False),
+                ((1,), Fraction(-3, 2), True), ((Fraction(2),), 0, False)]:
+        with pytest.raises(TypeError):
+            feasible_point([row], 1)
 
 
 def test_witness_check_survives_optimize_flag():

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -19,9 +20,6 @@ from lpoly.polyhedra import (
     LabelledPolyhedron,
     excess,
     excess_decomposition,
-    face_labels,
-    face_join,
-    face_meet,
     format_lpoly,
     is_simple,
     is_simply_laced,
@@ -38,6 +36,7 @@ from conftest import (
     unit_square,
     weighted_triangle,
 )
+from oracles import closed_face, face_join, face_meet, is_subset, same_set
 
 
 def faces_by_dim(P):
@@ -72,27 +71,6 @@ def test_face_samples_certify_tight_sets(square, pyramid):
         for f in P.face_lattice():
             assert P.tight_at(f.sample) == f.tight
             assert P.contains(f.sample, "closed")
-
-
-def test_face_labels_square(square):
-    verts = [f for f in square.face_lattice() if f.dim == 0]
-    tight, restricted = face_labels(square, verts[0])
-    assert len(tight) == 2
-    assert len(restricted) == 6
-
-
-def test_face_labels_pyramid_apex(pyramid):
-    apex = next(f for f in pyramid.face_lattice() if f.sample == (1, 1, 1))
-    tight, _ = face_labels(pyramid, apex)
-    assert len(tight) == 4
-    assert all(lab.v[2] < 0 for lab in tight)
-
-
-def test_face_labels_whole(square):
-    top = square.top_face()
-    tight, restricted = face_labels(square, top)
-    assert tight == []
-    assert restricted == list(square.labels)
 
 
 def test_excess(cube, pyramid):
@@ -188,22 +166,23 @@ def test_lower_dimensional_polyhedron():
 
 
 def brute_force_tight_sets(P):
-    """Oracle: scan every label subset for a point tight exactly there."""
+    """Oracle: scan every label subset for a point tight exactly there.
+    Each label (v, r) is scaled to the integer row (den * v, -num) here, not
+    read from ``Label.row``."""
     import itertools
-
-    from lpoly._feasible import feasible_point
 
     n = len(P.labels)
     out = set()
     for bits in itertools.product([0, 1], repeat=n):
         rows = []
         for i, lab in enumerate(P.labels):
-            coeffs = tuple(Fraction(x) for x in lab.v)
+            coeffs = tuple(lab.r.denominator * x for x in lab.v)
+            const = -lab.r.numerator
             if bits[i]:
-                rows.append((coeffs, -lab.r, False))
-                rows.append((tuple(-c for c in coeffs), lab.r, False))
+                rows.append((coeffs, const, False))
+                rows.append((tuple(-c for c in coeffs), -const, False))
             else:
-                rows.append((coeffs, -lab.r, True))
+                rows.append((coeffs, const, True))
         if feasible_point(rows, P.dim) is not None:
             out.add(frozenset(i for i in range(n) if bits[i]))
     return out
@@ -313,7 +292,7 @@ def test_face_excess_restriction():
     for P in (unit_square(), egyptian_pyramid(), doubled_interval()):
         faces = P.face_lattice()
         for f1 in faces:
-            Q = polyhedra.closed_face(P, f1)
+            Q = closed_face(P, f1)
             for f2 in faces:
                 if not polyhedra.below(f2, f1):
                     continue
@@ -356,9 +335,9 @@ def test_subset_and_equality(square):
     big = LabelledPolyhedron(2, [
         label(1, 0, 0), label(0, 1, 0), label(-1, 0, -2), label(0, -1, -2),
     ])
-    assert polyhedra.is_subset(square, big)
-    assert not polyhedra.is_subset(big, square)
-    assert polyhedra.same_set(square, minimalize(
+    assert is_subset(square, big)
+    assert not is_subset(big, square)
+    assert same_set(square, minimalize(
         LabelledPolyhedron(2, list(square.labels) + [label(1, 1, -1)])
     ))
 
@@ -439,7 +418,7 @@ def test_invariant_checks_survive_optimize_flag():
     """Broken invariants raise InvariantError even under ``python -O``."""
     code = textwrap.dedent("""
         from fractions import Fraction
-        from lpoly import InvariantError, counting, hull, linalg, polyhedra, rootsys, subdivisions
+        from lpoly import InvariantError, counting, hull, linalg, rootsys, subdivisions
         from lpoly.polyhedra import Face, LabelledPolyhedron, label
 
         def check(name, thunk):
@@ -452,8 +431,6 @@ def test_invariant_checks_survive_optimize_flag():
         ends = [Face(frozenset({i}), 0, (), (Fraction(i),), True) for i in (0, 1)]
         P._faces = ends
         check("top_face", P.top_face)
-        P._faces = ends + [Face(frozenset(), 0, (), (Fraction(1, 2),), True)]
-        check("face_meet", lambda: polyhedra.face_meet(P, P._faces[2], P._faces[2]))
 
         R = rootsys.root_system("A2")
         real_pairing = rootsys.coroot_pairing
@@ -491,7 +468,7 @@ def test_invariant_checks_survive_optimize_flag():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == [
-        "top_face", "face_meet", "weyl_dimension", "localization", "hull_vertices",
+        "top_face", "weyl_dimension", "localization", "hull_vertices",
         "hull_label", "hull_frame", "cone_cell",
     ]
 
@@ -533,10 +510,11 @@ def test_label_rows_agree_with_every_reader(case):
     membership and tight sets at the drawn points and every face sample,
     brute membership over a box, and emptiness from the generators.  A
     face's rows, its tight labels as equalities and the rest strict, hold
-    exactly on its relative interior."""
+    exactly on its relative interior.  An unweighted label's row is coprime."""
     import itertools
 
     P, points = case
+    assert all(math.gcd(*lab.row[0], lab.row[1]) == 1 for lab in P.labels if not lab.weighted)
     rows = polyhedra._rows(P)
     empty = P.is_empty()
     assert (feasible_point(rows, P.dim) is None) == empty

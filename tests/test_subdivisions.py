@@ -9,8 +9,7 @@ import pytest
 from lpoly._feasible import feasible_point
 from lpoly import subdivisions
 from lpoly.linalg import _scaled
-from lpoly.polyhedra import (
-    LabelledPolyhedron, Label, _rows, closed_face, intersect, label, same_set)
+from lpoly.polyhedra import LabelledPolyhedron, Label, _opposite, _rows, intersect, label
 from lpoly.randgen import random_lattice_polytope, seeded_dominant_points
 from lpoly.rootsys import principal_wall, root_system
 from lpoly.subdivisions import (
@@ -22,9 +21,9 @@ from lpoly.subdivisions import (
     glue_count_check,
     is_admissible,
     validate,
-    wall_alternating_sums,
 )
 from conftest import egyptian_pyramid, segment, unit_square
+from oracles import closed_face, is_subset, same_set
 
 
 def axis_split(k: int, axis: int, value) -> Subdivision:
@@ -216,8 +215,6 @@ def test_dual_subdivision_face_relation():
     lookup = {(s, t): c for c, (s, t) in zip(S.cells, S.walls)}
     for (s1, t1), c1 in lookup.items():
         for (s2, t2), c2 in lookup.items():
-            from lpoly.polyhedra import is_subset
-
             if s2 <= s1 and t1 <= t2:
                 assert is_subset(c2, c1)
 
@@ -247,6 +244,16 @@ def test_glue_pyramid_against_a3_dual_subdivision():
     assert is_admissible(S, pyramid)
     rep = glue_count_check(pyramid, S)
     assert rep.ok, rep.render()
+
+
+def wall_alternating_sums(S: Subdivision, delta: LabelledPolyhedron) -> dict:
+    """Per wall tau, the alternating count (-1)^(|tau| - |sigma|) of the
+    cells of ``dual_subdivision``'s wall metadata that meet delta."""
+    sums = {}
+    for (sigma, tau), cell in zip(S.walls, S.cells):
+        if feasible_point(_rows(delta) + _rows(cell), delta.dim) is not None:
+            sums[tau] = sums.get(tau, 0) + (-1) ** (len(tau) - len(sigma))
+    return sums
 
 
 def test_wall_alternating_sums_b2():
@@ -499,12 +506,9 @@ def random_labels(rng, k, n):
 def face_inside_by_probes(cell, tight, other):
     """Oracle: one Fourier-Motzkin probe per label of ``other`` for a point
     of the closed face that violates it."""
-    host = [(lab.v, -lab.r, False) for lab in cell.labels]
-    host += [(tuple(-x for x in cell.labels[i].v), cell.labels[i].r, False) for i in tight]
-    return all(
-        feasible_point(host + [(tuple(-x for x in lab.v), lab.r, True)], cell.dim) is None
-        for lab in other.labels
-    )
+    host = _rows(cell, tight)
+    return all(feasible_point(host + [_opposite(lab, True)], cell.dim) is None
+               for lab in other.labels)
 
 
 def test_face_inside_generators_match_probes():
