@@ -66,9 +66,6 @@ class Label:
         c = self.v if den == 1 else tuple(den * x for x in self.v)
         object.__setattr__(self, "row", (c, -self.r.numerator))
 
-    def flipped(self) -> "Label":
-        return Label(tuple(-x for x in self.v), -self.r, weighted=self.weighted)
-
 
 def _zeros(signs) -> frozenset[int]:
     """The labels tight at a point, from its ``_signs``."""

@@ -7,15 +7,44 @@ their generators -- the points of the minimal faces orthogonal to the
 lineality space, the primitive extreme rays and the lineality space's
 reduced-echelon basis -- so two keys are equal exactly when the sets are.
 Face-closedness is a set lookup of every face's key among the cells' keys,
-and a cell listed twice is two equal keys.  Pairwise intersections are
-decided on the same keys: I = Ci & Cj contains every face the two cells
-share, so it is a face of both iff it lies inside Q, their shared face of
-highest dimension.  A point of I lies off Q iff a label of Ci tight on Q is
-slack there, so one feasibility probe with the sum of those labels' rows
-made strict decides the pair; labels zero on all of I, whose opposite row is
-a row of either cell, are left out, and when none is left no probe is made.
-Only a pair that fails is then named, cell by cell: I is a face of Ck iff it
-lies inside the highest-dimensional face of Ck inside the other cell.
+and a cell listed twice is two equal keys.
+
+Proper intersections are first certified by facet pairing (Grunbaum and
+Shephard, *Tilings and Patterns*; Ziegler, *Lectures on Polytopes*, ch. 5).
+Suppose (a) passes, no two keys are equal, every cell's key is a face key
+of some k-cell (a full-dimensional one), every facet of a k-cell is a facet
+of exactly two k-cells, whose interior samples lie strictly on opposite
+sides of a label tight on it, and (c)'s witness, a point of the open region
+inside a k-cell, lies in no other k-cell.  A point off the k-cells'
+(k-2)-skeletons lies in the relative interior of every facet through it,
+and each such facet has its two cells one on each side, so the number of
+k-cells over a point off every boundary does not change across a facet.
+The complement of the skeletons is connected, so that number is 1
+everywhere, as at the witness: the k-cells tile R^k facet to facet.  Such
+a tiling is face-to-face.  Let p lie in the relative interior of a face F
+of a k-cell C.  Near p, a k-cell with F as a face is its tangent cone at
+F, and each facet of that cone is a facet through F, whose partner cell
+has F as a face too.  So the cells reached from C across facets containing
+F have a union that is closed and, off a set of codimension 2, open: it is
+a neighbourhood of p.  Interiors are disjoint, so every k-cell through p is
+one of these and has F as a face.  For k-cells C and D, let p lie in the
+relative interior of C & D and F be the face of C with p in its relative
+interior; F contains C & D and is a face of D, so F = C & D.  Every other
+cell is a face of a k-cell, and faces A of C and B of D meet in a face of
+each: A & B = (A & G) & (B & G), where G = C & D is a face of both.  So (b)
+holds with no probe, and (c) too: no facet is unpaired, and the witness
+lies in the region.
+
+When the certificate declines, (b) decides and names the failing pairs on
+the same keys: I = Ci & Cj contains every face the two cells share, so it
+is a face of both iff it lies inside Q, their shared face of highest
+dimension.  A point of I lies off Q iff a label of Ci tight on Q is slack
+there, so one feasibility probe with the sum of those labels' rows made
+strict decides the pair; labels zero on all of I, a positive multiple of
+whose opposite row is a row of either cell, are left out, and when none is
+left no probe is made.  Only a pair that fails is then named, cell by cell:
+I is a face of Ck iff it lies inside the highest-dimensional face of Ck
+inside the other cell.
 
 Coverage is exact, by facet pairing.  When intersections are proper, a
 facet shared by two full-dimensional cells has them on opposite sides, so
@@ -32,19 +61,19 @@ points scaled once (``linalg._scaled``) and tested against every cell's
 label rows; feasibility probes take the ``(c, k, strict)`` rows of
 ``polyhedra._rows``: two cells plus one strict row, a cell, or a face's
 relative interior with its tight labels as equalities and the others
-strict.  ``euler_check`` still samples probe points: a seeded cross-check
-of the Euler identity.
+strict.  ``euler_check`` still samples probe points, drawn as integer
+numerators over 7: a seeded cross-check of the Euler identity.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import counting, linalg
-from ._feasible import feasible_point
+from ._feasible import _normalize, feasible_point
 from .linalg import InvariantError, _scaled
 from .polyhedra import Generators, Label, LabelledPolyhedron, _rows, intersect
 from .report import Report
@@ -81,15 +110,16 @@ def _meets_off(cell: LabelledPolyhedron, face, base) -> bool:
     (any point at all when ``face`` is None, the empty face)?
 
     Such a point makes some label tight on the face slack, so one probe
-    asks for a positive sum of those labels' rows.  A label whose opposite
-    row is among ``base`` is zero on the whole intersection and is left out;
-    when no label is left, the intersection lies inside the face.
+    asks for a positive sum of those labels' rows.  A label a positive
+    multiple of whose opposite row is among ``base`` is zero on the whole
+    intersection and is left out; when no label is left, the intersection
+    lies inside the face.
     """
     if face is None:
         return feasible_point(base, cell.dim) is not None
-    present = {(c, k) for c, k, _ in base}
+    present = {_normalize(c, k, False) for c, k, _ in base}
     slack = [(c, k) for c, k in (cell.labels[i].row for i in face.tight)
-             if (tuple(-x for x in c), -k) not in present]
+             if _normalize(tuple(-x for x in c), -k, False) not in present]
     if not slack:
         return False
     row = (tuple(map(sum, zip(*(c for c, _ in slack)))), sum(k for _, k in slack), True)
@@ -129,40 +159,28 @@ def _key(gens: Generators):
             gens.lineality)
 
 
-def validate(S: Subdivision, region: str = "all") -> Report:
-    """Face-closedness, proper pairwise intersections and exact coverage of
-    the region, all on canonical face keys (``_key``)."""
-    rep = Report(f"subdivision (region={region})")
-    cells = S.cells
-    rep.add(f"cells: {len(cells)}")
-    if any(c.body_dim() < 0 for c in cells):
-        rep.fail("empty-cell: subdivision contains an empty cell")
-        return rep
+def _face_keys(cells):
+    """Each cell's key, and each cell's faces paired with their keys."""
     gens = [c.generators() for c in cells]
-    keys = [_key(g) for g in gens]
     faces = [[(f, _key(g.of_face(f.tight))) for f in c.face_lattice()]
              for c, g in zip(cells, gens)]
+    return [_key(g) for g in gens], faces
 
-    # (a) every closed face of every cell is a cell
-    known = set(keys)
-    for ci, cell_faces in enumerate(faces):
-        for f, key in cell_faces:
-            if key not in known:
-                rep.fail(f"missing-face: cell {ci} face {sorted(f.tight)}")
 
-    # (b) no cell is listed twice, and pairwise intersections are closed
-    # faces of each.  I = Ci & Cj contains every face the cells share, so it
-    # is a face of both iff it lies inside Q, their shared face of highest
-    # dimension (the empty face when they share none).
+def _pair_failures(cells, keys, faces) -> list[str]:
+    """(b): a line for every cell listed twice and for every pair whose
+    intersection is not a closed face of each.  I = Ci & Cj contains every
+    face the cells share, so it is a face of both iff it lies inside Q,
+    their shared face of highest dimension (the empty face when they share
+    none)."""
     rows = [_rows(c) for c in cells]
     # each cell's faces by key, highest dimension first
     by_key = [{key: f for f, key in sorted(cf, key=lambda fk: -fk[0].dim)} for cf in faces]
-    proper = True
+    lines = []
     for ci in range(len(cells)):
         for cj in range(ci + 1, len(cells)):
             if keys[ci] == keys[cj]:
-                rep.fail(f"duplicate-cell: cells {ci} {cj}")
-                proper = False
+                lines.append(f"duplicate-cell: cells {ci} {cj}")
                 continue
             base = rows[ci] + rows[cj]
             Q = next((f for key, f in by_key[ci].items() if key in by_key[cj]), None)
@@ -175,24 +193,95 @@ def validate(S: Subdivision, region: str = "all") -> Report:
                          if _face_inside(cells[ck], f.tight, cells[other])),
                         key=lambda f: f.dim, default=None)
                 if _meets_off(cells[ck], G, base):
-                    rep.fail(f"bad-intersection: cells {ci} {cj} not a face of {ck}")
-                    proper = False
+                    lines.append(f"bad-intersection: cells {ci} {cj} not a face of {ck}")
+    return lines
+
+
+def _facets_paired(cells, keys, faces, tops, facets) -> bool:
+    """The certificate's conditions on faces: no two cells are equal, each
+    is a face of a k-cell, and each facet of a k-cell is a facet of exactly
+    two, whose interior samples lie strictly on opposite sides of a label
+    tight on it."""
+    if len(set(keys)) < len(keys):
+        return False
+    if not {key for ci in tops for _, key in faces[ci]}.issuperset(keys):
+        return False
+    inner = {ci: _scaled(cells[ci].interior_sample()) for ci in tops}
+    for pair in facets.values():
+        if len(pair) != 2:
+            return False
+        (ci, f), (cj, _) = pair
+        c, k = cells[ci].labels[min(f.tight)].row
+        sides = [sum(map(mul, X, c)) + k * d for X, d in (inner[ci], inner[cj])]
+        if sides[0] * sides[1] >= 0:
+            return False
+    return True
+
+
+def _witness(cells, tops, open_region):
+    """(c)'s probe: a point of the open region inside some k-cell, or None."""
+    for ci in tops:
+        w = feasible_point(_rows(cells[ci], strict=True) + open_region, cells[ci].dim)
+        if w is not None:
+            return w
+    return None
+
+
+def validate(S: Subdivision, region: str = "all") -> Report:
+    """Face-closedness, proper pairwise intersections and exact coverage of
+    the region, all on canonical face keys (``_key``).  Intersections are
+    certified by facet pairing when the cells tile space once, and probed
+    pair by pair, naming the failures, otherwise."""
+    rep = Report(f"subdivision (region={region})")
+    cells = S.cells
+    rep.add(f"cells: {len(cells)}")
+    if any(c.body_dim() < 0 for c in cells):
+        rep.fail("empty-cell: subdivision contains an empty cell")
+        return rep
+    keys, faces = _face_keys(cells)
+
+    # (a) every closed face of every cell is a cell
+    known = set(keys)
+    for ci, cell_faces in enumerate(faces):
+        for f, key in cell_faces:
+            if key not in known:
+                rep.fail(f"missing-face: cell {ci} face {sorted(f.tight)}")
+
+    # the facet-pairing certificate (see the module docstring): when it
+    # holds, (b) and (c) hold with no further probe
+    k = S.dim
+    tops = [ci for ci, c in enumerate(cells) if c.body_dim() == k]
+    facets = {}  # each facet key of the k-cells: the (cell, face) pairs it bounds
+    for ci in tops:
+        for f, key in faces[ci]:
+            if f.dim == k - 1:
+                facets.setdefault(key, []).append((ci, f))
+    open_region = _rows(_region(region, k), strict=True)
+    witness = None
+    if rep.ok and _facets_paired(cells, keys, faces, tops, facets):
+        witness = _witness(cells, tops, open_region)
+        if witness is not None:
+            X, d = _scaled(witness)
+            if sum(cells[ci]._holds(X, d) for ci in tops) == 1:
+                return rep
+
+    # (b) no cell is listed twice, and pairwise intersections are closed
+    # faces of each
+    failures = _pair_failures(cells, keys, faces)
+    for line in failures:
+        rep.fail(line)
 
     # (c) exact coverage by facet pairing, which needs (b) to hold (see the
     # module docstring)
-    if not proper:
+    if failures:
         return rep
-    k = S.dim
-    open_region = _rows(_region(region, k), strict=True)
-    tops = [ci for ci, c in enumerate(cells) if c.body_dim() == k]
-    facets = Counter(key for ci in tops for f, key in faces[ci] if f.dim == k - 1)
-    for ci in tops:
-        for f, key in faces[ci]:
-            if f.dim == k - 1 and facets[key] == 1 and feasible_point(
-                    _rows(cells[ci], f.tight, strict=True) + open_region, k) is not None:
+    for pair in facets.values():
+        if len(pair) == 1:
+            (ci, f), = pair
+            if feasible_point(_rows(cells[ci], f.tight, strict=True) + open_region,
+                              k) is not None:
                 rep.fail(f"uncovered: cell {ci} facet {sorted(f.tight)}")
-    if all(feasible_point(_rows(cells[ci], strict=True) + open_region, k) is None
-           for ci in tops):
+    if witness is None and _witness(cells, tops, open_region) is None:
         rep.fail(f"uncovered: no {k}-dimensional cell meets the region")
     return rep
 
@@ -225,24 +314,24 @@ def euler_check(S: Subdivision, samples: int, seed: int = 0, region: str = "all"
     lo, hi, face_samples = box
     rng = random.Random(seed)
     inside = _region(region, S.dim)
-    probes = [p for p in dict.fromkeys(face_samples) if inside.contains(p)]
+    # each probe is (X, d), the point X/d; a random draw is X over 7, its
+    # numerators inside the box scaled by 7
+    probes = [_scaled(p) for p in dict.fromkeys(face_samples) if inside.contains(p)]
+    grid = [(int(a * 7), int(b * 7)) for a, b in zip(lo, hi)]
     while len(probes) < samples:
-        p = tuple(
-            Fraction(rng.randint(int(a * 7), int(b * 7)), 7) for a, b in zip(lo, hi)
-        )
-        if inside.contains(p):
-            probes.append(p)
+        X = [rng.randint(a, b) for a, b in grid]
+        if inside._holds(X, 7):
+            probes.append((X, 7))
     probes = probes[:samples]
     k = S.dim
     signs = [(-1) ** (k - cell.body_dim()) for cell in S.cells]
     bad = 0
-    for p in probes:
-        X, d = _scaled(p)
+    for X, d in probes:
         total = sum(sign for sign, cell in zip(signs, S.cells) if cell._holds(X, d))
         if total != 1:
             bad += 1
             if bad <= 5:
-                rep.fail(f"sum: {tuple(str(x) for x in p)} -> {total}")
+                rep.fail(f"sum: {tuple(str(Fraction(x, d)) for x in X)} -> {total}")
     rep.add(f"points: {len(probes)}")
     if bad > 5:
         rep.fail(f"bad-total: {bad}")

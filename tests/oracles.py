@@ -1,20 +1,26 @@
 """Set-level oracles for the face and subdivision tests.
 
-Closed faces as labelled polyhedra, exact containment and equality of the
-underlying sets by Fourier-Motzkin probes, and the join and meet of two
-faces.  The tests check ``excess``, ``validate`` and ``_key`` against these;
-the library itself decides faces by tight sets and generator keys.
+The opposite of a label, closed faces as labelled polyhedra, exact
+containment and equality of the underlying sets by Fourier-Motzkin probes,
+and the join and meet of two faces.  The tests check ``excess``,
+``validate`` and ``_key`` against these; the library itself decides faces by
+tight sets and generator keys.
 """
 
 from lpoly._feasible import feasible_point
-from lpoly.polyhedra import Face, LabelledPolyhedron, _opposite, _rows, below, check_face
+from lpoly.polyhedra import Face, Label, LabelledPolyhedron, _opposite, _rows, below, check_face
+
+
+def flipped(lab: Label) -> Label:
+    """The label of <x, v> <= r: the closed half-space opposite ``lab``'s."""
+    return Label(tuple(-x for x in lab.v), -lab.r, weighted=lab.weighted)
 
 
 def closed_face(P: LabelledPolyhedron, F: Face) -> LabelledPolyhedron:
     """P's labels plus each label tight on F flipped: the closure of F."""
     check_face(P, F)
-    flipped = [P.labels[i].flipped() for i in sorted(F.tight)]
-    return LabelledPolyhedron(P.dim, list(P.labels) + flipped)
+    opposite = [flipped(P.labels[i]) for i in sorted(F.tight)]
+    return LabelledPolyhedron(P.dim, list(P.labels) + opposite)
 
 
 def is_subset(P: LabelledPolyhedron, Q: LabelledPolyhedron) -> bool:

@@ -36,7 +36,7 @@ from conftest import (
     unit_square,
     weighted_triangle,
 )
-from oracles import closed_face, face_join, face_meet, is_subset, same_set
+from oracles import closed_face, face_join, face_meet, flipped, is_subset, same_set
 
 
 def faces_by_dim(P):
@@ -487,7 +487,7 @@ def _polyhedra_and_points(draw):
         r = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from((1, 2, 3))))
         labels.append(Label(v, r, weighted=not linalg.is_primitive(v)))
         if draw(st.integers(0, 3)) == 0:
-            labels.append(labels[-1].flipped())
+            labels.append(flipped(labels[-1]))
     coord = st.fractions(-4, 4, max_denominator=3)
     points = draw(st.lists(st.tuples(*[coord] * k), max_size=5))
     return LabelledPolyhedron(k, labels), points

@@ -5,6 +5,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpoly._feasible import feasible_point
 from lpoly import subdivisions
@@ -15,7 +17,9 @@ from lpoly.rootsys import principal_wall, root_system
 from lpoly.subdivisions import (
     Subdivision,
     _face_inside,
+    _face_keys,
     _key,
+    _pair_failures,
     dual_subdivision,
     euler_check,
     glue_count_check,
@@ -23,7 +27,7 @@ from lpoly.subdivisions import (
     validate,
 )
 from conftest import egyptian_pyramid, segment, unit_square
-from oracles import closed_face, is_subset, same_set
+from oracles import closed_face, flipped, is_subset, same_set
 
 
 def axis_split(k: int, axis: int, value) -> Subdivision:
@@ -431,7 +435,7 @@ def relabelled(rng, cell):
         lab = rng.choice(labs)
         labs.append(rng.choice((
             lab,
-            lab.flipped(),
+            flipped(lab),
             Label(tuple(2 * x for x in lab.v), 2 * lab.r, weighted=True),
             Label(tuple(-3 * x for x in lab.v), -3 * lab.r, weighted=True),
         )))
@@ -466,21 +470,21 @@ def test_pair_verdicts_match_set_oracle():
     assert verdicts[True] >= 200 and verdicts[False] >= 1000, verdicts
 
 
-def test_passing_dual_subdivisions_probe_each_pair_at_most_once(monkeypatch):
-    """A proper pair costs at most one probe and coverage one per cell, and
-    no face is tested against the other cell."""
+def count_calls(monkeypatch, *names) -> Counter:
+    """A counter of calls to the named ``subdivisions`` functions."""
     calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args):
+    for name in names:
+        def wrapper(*args, name=name, fn=getattr(subdivisions, name)):
             calls[name] += 1
             return fn(*args)
-        return wrapper
+        monkeypatch.setattr(subdivisions, name, wrapper)
+    return calls
 
-    monkeypatch.setattr(subdivisions, "feasible_point",
-                        counted("feasible_point", subdivisions.feasible_point))
-    monkeypatch.setattr(subdivisions, "_face_inside",
-                        counted("_face_inside", subdivisions._face_inside))
+
+def test_passing_dual_subdivisions_probe_each_pair_at_most_once(monkeypatch):
+    """Facet pairing certifies passing dual subdivisions: no pair is probed
+    and no face is tested against another cell."""
+    calls = count_calls(monkeypatch, "feasible_point", "_face_inside", "_meets_off")
     for name, lam in (("A2", (Fraction(3, 2), Fraction(5, 3))), ("B2", (2, Fraction(1, 3))),
                       ("G2", (1, Fraction(2, 5))), ("A3", (1, Fraction(3, 2), 2))):
         S = dual_subdivision(root_system(name), lam)
@@ -489,6 +493,115 @@ def test_passing_dual_subdivisions_probe_each_pair_at_most_once(monkeypatch):
         n = len(S.cells)
         assert 0 < calls["feasible_point"] <= n * (n - 1) // 2 + n
         assert calls["_face_inside"] == 0
+        assert calls["_meets_off"] == 0
+
+
+def test_weighted_opposite_rows_cost_no_probe(monkeypatch):
+    """x >= 0 written as the weighted label (2; 0) faces x <= 0 as plainly as
+    (1; 0) does: it is zero on their intersection either way, so neither
+    ``validate`` nor (b) run alone makes a probe more."""
+    calls = count_calls(monkeypatch, "feasible_point")
+    counts = []
+    for up in (label(1, 0), Label((2,), 0, weighted=True)):
+        cells = [LabelledPolyhedron(1, [up]), point_cell(0), LabelledPolyhedron(1, [label(-1, 0)])]
+        calls.clear()
+        assert validate(Subdivision(1, cells)).ok
+        in_validate = calls["feasible_point"]
+        calls.clear()
+        assert _pair_failures(cells, *_face_keys(cells)) == []
+        counts.append((in_validate, calls["feasible_point"]))
+    assert counts[0] == counts[1] == (1, 0)
+
+
+# -- the facet-pairing certificate ---------------------------------------------
+
+
+def certified(S: Subdivision, region: str):
+    """``validate``'s report, and whether the certificate accepted: the one
+    way past (b) with a passing report."""
+    with pytest.MonkeyPatch.context() as m:
+        calls = count_calls(m, "_pair_failures")
+        rep = validate(S, region=region)
+    return rep, rep.ok and not calls
+
+
+def test_certificate_accepts_only_proper_collections():
+    """Dual subdivisions with cells dropped, swapped in from other shift
+    points, shuffled or relabelled: whenever the certificate accepts, (b) run
+    alone names no pair, and the report has no line but the cell count."""
+    seen = Counter()
+    shifted = {}
+    for name in ("A2", "B2", "G2", "A3"):
+        R = root_system(name)
+        shifted[name] = [dual_subdivision(R, lam) for lam in seeded_dominant_points(R, 13, 3)]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(shifted)),
+           st.lists(st.sampled_from(("drop", "swap", "shuffle", "relabel")), max_size=2),
+           st.randoms(use_true_random=False))
+    def prop(name, edits, rng):
+        subs = shifted[name]
+        cells = list(subs[0].cells)
+        for edit in edits:
+            i = rng.randrange(len(cells))
+            if edit == "drop":
+                del cells[i]
+            elif edit == "swap":
+                cells[i] = rng.choice(subs[1:]).cells[i]
+            elif edit == "shuffle":
+                rng.shuffle(cells)
+            else:
+                cells[i] = relabelled(rng, cells[i])
+        rep, accepted = certified(Subdivision(subs[0].dim, cells), "dominant")
+        seen[accepted] += 1
+        if accepted:
+            assert rep.lines == [f"cells: {len(cells)}"]
+            assert _pair_failures(cells, *_face_keys(cells)) == []
+
+    prop()
+    assert seen[True] >= 10 and seen[False] >= 10, seen
+
+
+def test_certificate_declines_an_overlay_of_two_tilings():
+    """Two grids laid over each other pair every facet on opposite sides but
+    cover each point twice: the certificate declines and (b) names the
+    overlaps."""
+    cells = grid_split(2, [[0], [0]]).cells + grid_split(2, [[1], [Fraction(1, 2)]]).cells
+    keys, faces = _face_keys(cells)
+    assert len(set(keys)) == len(cells) == 18
+    facets = Counter(key for c, cf in zip(cells, faces) if c.body_dim() == 2
+                     for f, key in cf if f.dim == 1)
+    assert set(facets.values()) == {2}
+    rep, accepted = certified(Subdivision(2, cells), "all")
+    assert not accepted and not rep.ok
+    assert rep.lines[0] == "cells: 18"
+    assert len(rep.lines) > 1 and all(ln.startswith("bad-intersection") for ln in rep.lines[1:])
+
+
+def half_line(sign, x):
+    """[x, oo) for sign 1, (-oo, x] for sign -1."""
+    return LabelledPolyhedron(1, [label(sign, sign * x)])
+
+
+def test_certificate_declines_each_broken_condition():
+    """Line splits that meet every condition of the certificate but one, with
+    the witness at -1 in one k-cell: segments on the same side of their
+    shared facets 1 and 3, a facet of three k-cells, and a point that is a
+    face of no k-cell.  The certificate declines and (b) names the overlaps."""
+    points = [point_cell(x) for x in range(4)]
+    for cells, bad in (
+        ([half_line(-1, 0), half_line(1, 0), segment(1, 2), segment(1, 3), segment(2, 3)]
+         + points, ["1 2 not a face of 1", "1 3 not a face of 1", "1 4 not a face of 1",
+                    "1 6 not a face of 1", "1 7 not a face of 1", "1 8 not a face of 1",
+                    "2 3 not a face of 3", "3 4 not a face of 3", "3 7 not a face of 3"]),
+        ([half_line(-1, 0), half_line(1, 0), segment(0, 1), half_line(1, 1)] + points[:2],
+         ["1 2 not a face of 1", "1 3 not a face of 1", "1 5 not a face of 1"]),
+        ([half_line(-1, 0), points[0], half_line(1, 0), points[1]], ["2 3 not a face of 2"]),
+    ):
+        rep, accepted = certified(Subdivision(1, cells), "all")
+        assert not accepted
+        assert rep.lines == [f"cells: {len(cells)}"] + [
+            f"bad-intersection: cells {b}" for b in bad]
 
 
 # -- face containment ------------------------------------------------------------
