@@ -4,9 +4,11 @@ Everything in this module (and downstream of it) is big-integer or
 ``fractions.Fraction`` arithmetic; no floating point anywhere.  Matrices are
 plain sequences of row sequences, vectors are tuples.  Rank, kernels and
 solving share one fraction-free Gauss-Jordan elimination (``_echelon``) on
-integer rows; ``Fraction`` appears only in the solutions returned.
-Structure-group orders are lattice indices (``lattice_index``): the gcd of
-the maximal minors, each a fraction-free determinant (``_det``).
+integer rows; ``Fraction`` appears only in ``solve``'s solutions, and
+``solve_scaled`` returns integer numerators over one denominator.  Maximal
+minors are fraction-free determinants (``_det``): signed, they span the
+kernel of k-1 rows in k columns (``signed_minors``), and their gcd is a
+lattice index (``lattice_index``), the order of a structure group.
 """
 
 from __future__ import annotations
@@ -27,10 +29,7 @@ class InvariantError(RuntimeError):
 
 
 def vec_gcd(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
+    return gcd(*v)
 
 
 def primitive(v) -> IntVec:
@@ -103,7 +102,7 @@ def _echelon(m):
     """
     a = []
     for row in m:
-        row = _scaled(row)[0]
+        row = list(row) if all(type(t) is int for t in row) else _scaled(row)[0]
         g = gcd(*row)
         a.append([x // g for x in row] if g > 1 else row)
     rows = len(a)
@@ -178,13 +177,26 @@ def solve(a, b) -> Vec | None:
     return tuple(x)
 
 
-def solve_unique(a, b) -> Vec | None:
-    """The solution of ``a x = b`` when there is exactly one, else None."""
-    ncols = len(a[0])
-    red, pivots = _echelon([list(row) + [bb] for row, bb in zip(a, b)])
-    if pivots != list(range(ncols)):
+def solve_scaled(m) -> tuple[IntVec, int] | None:
+    """The solution of a x = b when there is exactly one, as integers (X, d)
+    with x = X/d and d > 0; ``m`` holds the rows of [a | b]."""
+    red, pivots = _echelon(m)
+    k = len(m[0]) - 1
+    if pivots != list(range(k)):
         return None
-    return tuple(Fraction(red[c][-1], red[c][c]) for c in range(ncols))
+    d = lcm(*(red[c][c] for c in range(k)))
+    return tuple(red[c][-1] * (d // red[c][c]) for c in range(k)), d
+
+
+def signed_minors(m, cols: int | None = None) -> IntVec:
+    """Entry j is (-1)^j times the minor of the (k-1) x k integer matrix
+    ``m`` without column j.  Each row of m pairs to zero with it, so it is
+    zero exactly when m's rank is below k-1 and else spans m's kernel.
+    ``cols`` must be given when ``m`` has no rows."""
+    if any(type(t) is not int for row in m for t in row):
+        raise TypeError("signed_minors takes int entries")
+    k = len(m[0]) if m else cols
+    return tuple((-1) ** j * _det([row[:j] + row[j + 1:] for row in m]) for j in range(k))
 
 
 def _det(m) -> int:

@@ -8,10 +8,12 @@ so nothing here ever silently rewrites the list.
 
 All face computations are exact and start from P's generators: the points
 of its minimal faces, the extreme rays of its recession cone and its
-lineality space, P = conv(points) + cone(rays) + lineality.  Each face is
-the closure of the generators its tight labels bind on, which copes with
-duplicated labels, redundant labels, lower-dimensional, unbounded and
-line-containing polyhedra alike.
+lineality space, P = conv(points) + cone(rays) + lineality, found in integers
+from label subsets with no two parallel vectors (``_compute_generators``).
+Each face is the closure of the generators its tight labels bind on, which
+copes with duplicated labels, redundant labels, lower-dimensional, unbounded
+and line-containing polyhedra alike.  A vertex, an edge or a ray from a
+vertex takes its basis without elimination.
 
 Every half-space system is read off one integer row per label: ``row =
 (c, k)`` with ``c = r.den * v`` and ``k = -r.num``, so the label is ``<x, c>
@@ -25,6 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -214,42 +217,56 @@ class LabelledPolyhedron:
 
         With r the rank of the label vectors and L their common kernel, a
         minimal face is a translate of L on which r independent labels bind:
-        each r-subset of labels, solved together with <x, l> = 0 for L's
-        basis, gives that face's point orthogonal to L, kept when it lies in
-        P.  Each (r-1)-subset plus L's basis leaves a line, an extreme ray of
-        the recession cone when it pairs >= 0 (or, negated, <= 0) with every
-        label.  A subset inside the tight set of a generator already found
-        gives that generator again and is skipped.
+        each r-subset's integer rows ``[c | -k]`` (``Label.row``), solved with
+        <x, l> = 0 for L's basis, give that face's point orthogonal to L, kept
+        when the integer signs of its slacks put it in P.  Each (r-1)-subset
+        plus L's basis leaves a line when their signed maximal minors are
+        nonzero, an extreme ray when it pairs >= 0 (or, negated, <= 0) with
+        every label.  A subset holding two parallel vectors is singular, and
+        one inside the tight set of a point, or the zero set of a line, found
+        before gives it again: all are skipped.  L is computed only when no k
+        labels solve, since r = k as soon as some do.
         """
         k, n = self.dim, len(self.labels)
         vs = [lab.v for lab in self.labels]
-        lin = tuple(linalg.kernel_basis(vs, cols=k))
+        # one key per line through the origin: parallel vectors share it
+        line = [max(u, tuple(-x for x in u)) for u in map(linalg.primitive, vs)]
+        aug = [(*c, -b) for c, b in (lab.row for lab in self.labels)]
+
+        def minimal_points(lin):  # None when no subset solves
+            r = k - len(lin)
+            points, solved = [], False
+            for T in itertools.combinations(range(n), r):
+                if len({line[i] for i in T}) < r or any(t.issuperset(T) for t, _ in points):
+                    continue
+                sol = linalg.solve_scaled([aug[i] for i in T] + [(*l, 0) for l in lin])
+                if sol is None:
+                    continue
+                solved = True
+                signs = self._signs(*sol)
+                if all(s >= 0 for s in signs):
+                    points.append((_zeros(signs), tuple(Fraction(x, sol[1]) for x in sol[0])))
+            return points if solved else None
+
+        points = minimal_points(lin := ())
+        if points is None:
+            points = minimal_points(lin := tuple(linalg.kernel_basis(vs, cols=k)))
         r = k - len(lin)
-        points = []
-        for T in itertools.combinations(range(n), r):
-            if any(t.issuperset(T) for t, _ in points):
-                continue
-            rhs = [self.labels[i].r for i in T] + [0] * len(lin)
-            x = linalg.solve_unique([vs[i] for i in T] + list(lin), rhs)
-            if x is None:
-                continue
-            signs = self._signs(*_scaled(x))
-            if all(s >= 0 for s in signs):
-                points.append((_zeros(signs), x))
-        rays = []
+        rays, tried = [], []  # tried: the labels zero on each line met so far
         for T in itertools.combinations(range(n), r - 1) if r else ():
-            if any(z.issuperset(T) for z, _ in rays):
+            if len({line[i] for i in T}) < r - 1 or any(z.issuperset(T) for z in tried):
                 continue
-            kern = linalg.kernel_basis([vs[i] for i in T] + list(lin), cols=k)
-            if len(kern) != 1:
+            u = linalg.signed_minors([vs[i] for i in T] + list(lin), k)
+            if not any(u):
                 continue
-            u = kern[0]
+            u = linalg.primitive(u)
             pairings = [linalg.dot(v, u) for v in vs]
+            tried.append(frozenset(i for i, p in enumerate(pairings) if p == 0))
             if min(pairings) < 0:
                 if max(pairings) > 0:
                     continue
                 u = tuple(-c for c in u)
-            rays.append((frozenset(i for i, p in enumerate(pairings) if p == 0), u))
+            rays.append((tried[-1], u))
         return Generators(tuple(points), tuple(rays), lin)
 
     def face_lattice(self) -> list[Face]:
@@ -281,16 +298,28 @@ class LabelledPolyhedron:
                     H = tuple(g for g in G if j in tights[g])
                     if H and H[0] < npts:
                         todo.append(H)
+        scaled = [_scaled(x) for _, x in gens.points]
         faces = []
         for S, G in found.items():
-            pts = [gens.points[g][1] for g in G if g < npts]
+            pts = [scaled[g] for g in G if g < npts]
             rays = [gens.rays[g - npts][1] for g in G if g >= npts]
-            sample = [sum(c) / len(pts) for c in zip(*pts)]
-            for u in rays:
-                sample = [a + b for a, b in zip(sample, u)]
-            basis = tuple(linalg.kernel_basis(
-                [self.labels[i].v for i in sorted(S)], cols=self.dim))
-            faces.append(Face(S, len(basis), basis, tuple(sample),
+            # the sample over one denominator: the points' mean plus the rays
+            L = lcm(*(d for _, d in pts))
+            den = L * len(pts)
+            num = [den * sum(c) for c in zip(*rays)] if rays else [0] * self.dim
+            for X, d in pts:
+                num = [a + x * (L // d) for a, x in zip(num, X)]
+            if gens.lineality or len(G) > 2:
+                basis = tuple(linalg.kernel_basis(
+                    [self.labels[i].v for i in sorted(S)], cols=self.dim))
+            else:
+                # a vertex, or an edge or ray from one: its direction, if any,
+                # signed as kernel_basis signs it (the last nonzero entry > 0)
+                dirs = rays + [linalg.primitive([x1 * d0 - x0 * d1 for x0, x1 in zip(X0, X1)])
+                               for (X0, d0), (X1, d1) in zip(pts, pts[1:])]
+                basis = tuple(u if [x for x in u if x][-1] > 0 else tuple(-x for x in u)
+                              for u in dirs)
+            faces.append(Face(S, len(basis), basis, tuple(Fraction(a, den) for a in num),
                               not rays and not gens.lineality))
         return sorted(faces, key=Face.sort_key)
 

@@ -368,27 +368,24 @@ def glue_count_check(delta: LabelledPolyhedron, S: Subdivision) -> Report:
 
 def _cone_cell(R: RootSystem, apex, gens) -> LabelledPolyhedron:
     """Shifted simplicial cone apex + cone(gens) as a labelled polyhedron."""
-    k = R.rank
+    k, m = R.rank, len(gens)
+    # one elimination of [G | -I]: its kernel holds (w, 0) for each w normal
+    # to the gens, then (s u_i, s e_i), s > 0, per dual vector <g_j, u_i> = [i == j]
+    kern = linalg.kernel_basis([list(g) + [-int(i == j) for j in range(m)]
+                                for i, g in enumerate(gens)], cols=k)
+    if sum(any(v[k:]) for v in kern) < m:
+        raise InvariantError("cone generators are not linearly independent")
     labels = []
-    if gens:
-        rows = [list(g) for g in gens]
-        for w in linalg.kernel_basis(rows, cols=k):
-            r = linalg.dot(apex, w)
+    A, d = _scaled(apex)  # each offset <apex, w> is <A, w> / d
+    for v in kern:
+        w = v[:k]
+        if any(v[k:]):
+            ui = linalg.primitive(w)
+            labels.append(Label(ui, Fraction(linalg.dot(A, ui), d)))
+        else:
+            r = Fraction(linalg.dot(A, w), d)
             labels.append(Label(w, r, weighted=not linalg.is_primitive(w)))
             labels.append(Label(tuple(-x for x in w), -r, weighted=not linalg.is_primitive(w)))
-        for i in range(len(gens)):
-            ei = [Fraction(1 if j == i else 0) for j in range(len(gens))]
-            u = linalg.solve(rows, ei)
-            if u is None:
-                raise InvariantError("cone generators are not linearly independent")
-            ui = linalg.clear_denominators(u)
-            labels.append(Label(ui, linalg.dot(apex, ui)))
-    else:
-        for i in range(k):
-            e = tuple(1 if j == i else 0 for j in range(k))
-            r = Fraction(apex[i])
-            labels.append(Label(e, r))
-            labels.append(Label(tuple(-x for x in e), -r))
     return LabelledPolyhedron(k, labels)
 
 
@@ -412,10 +409,10 @@ def dual_subdivision(R: RootSystem, lam) -> Subdivision:
             sigma = frozenset(i for i in range(k) if sigma_mask >> i & 1)
             gens = []
             for i in sorted(sigma):
-                gens.append(tuple(Fraction(1 if j == i else 0) for j in range(k)))
+                gens.append(tuple(int(j == i) for j in range(k)))
             for j in range(k):
                 if j not in tau:
-                    gens.append(tuple(Fraction(-R.cartan[i][j]) for i in range(k)))
+                    gens.append(tuple(-R.cartan[i][j] for i in range(k)))
             cell = _cone_cell(R, lam, gens)
             expected_codim = len(tau) - len(sigma)
             if k - cell.body_dim() != expected_codim:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -76,6 +77,45 @@ def test_solve():
     x = linalg.solve([[2, 0], [0, 4]], [1, 2])
     assert x == (Fraction(1, 2), Fraction(1, 2))
     assert linalg.solve([[1, 1], [1, 1]], [0, 1]) is None
+
+
+def test_signed_minors_span_the_kernel():
+    """On seeded (k-1) x k integer matrices the signed minors pair to zero
+    with every row; at rank k-1 they are kernel_basis's vector up to a
+    sign, after dividing by their gcd, and below it they are all zero."""
+    rng = random.Random(29)
+    ranks = Counter()
+    for _ in range(400):
+        k = rng.randint(1, 5)
+        m = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k - 1)]
+        if k > 2 and rng.randint(0, 2) == 0:
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            m[-1] = [a * x + b * y for x, y in zip(m[0], m[-2])]
+        u = linalg.signed_minors(m, k)
+        assert all(linalg.dot(row, u) == 0 for row in m)
+        full = linalg.rank(m) == k - 1
+        ranks[full] += 1
+        if full:
+            (w,) = linalg.kernel_basis(m, cols=k)
+            assert linalg.primitive(u) in (w, tuple(-x for x in w))
+        else:
+            assert not any(u)
+    assert ranks[True] >= 100 and ranks[False] >= 50, ranks
+
+
+@pytest.mark.parametrize("call", [
+    lambda: linalg.rank([[1, 0.5]]),
+    lambda: linalg.kernel_basis([[1, 0.5]]),
+    lambda: linalg.solve([[1, 0.5]], [1]),
+    lambda: linalg.solve([[1, 2]], [0.5]),
+    lambda: linalg.solve_scaled([[1, 0.5]]),
+    lambda: linalg.signed_minors([[1, 0.5]]),
+    lambda: linalg.signed_minors([[1, Fraction(1, 2)]]),
+], ids=["rank", "kernel_basis", "solve", "solve-rhs", "solve_scaled", "signed_minors",
+        "signed_minors-fraction"])
+def test_floats_raise_type_error(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_clear_denominators():
@@ -199,7 +239,14 @@ def test_echelon_matches_rational_rref(system):
     assert linalg.rank(m) == len(pivots)
     assert linalg.kernel_basis(m) == rref_kernel(m)
     assert linalg.solve(m, b) == rref_solve(m, b)
-    assert linalg.solve_unique(m, b) == rref_solve_unique(m, b)
+    scaled = linalg.solve_scaled([list(row) + [bb] for row, bb in zip(m, b)])
+    want = rref_solve_unique(m, b)
+    if want is None:
+        assert scaled is None
+    else:
+        X, d = scaled
+        assert d > 0 and all(isinstance(x, int) for x in X)
+        assert tuple(Fraction(x, d) for x in X) == want
 
 
 # -- lattice indices against integer points of the parallelepiped --------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -8,10 +9,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lpoly import linalg, polyhedra
+from lpoly import linalg, polyhedra, rootsys
 from lpoly._feasible import feasible_point
 from lpoly._kernels import count_box, scan_box
 from lpoly.polyhedra import (
@@ -28,6 +29,8 @@ from lpoly.polyhedra import (
     parse_lpoly,
     structure_group_order,
 )
+from lpoly.randgen import seeded_dominant_points
+from lpoly.subdivisions import dual_subdivision
 from conftest import (
     doubled_interval,
     egyptian_pyramid,
@@ -36,7 +39,10 @@ from conftest import (
     unit_square,
     weighted_triangle,
 )
-from oracles import closed_face, face_join, face_meet, flipped, is_subset, same_set
+from oracles import (
+    closed_face, face_join, face_meet, faces_by_kernels, flipped, generators_by_kernels,
+    is_subset, same_set,
+)
 
 
 def faces_by_dim(P):
@@ -457,7 +463,8 @@ def test_invariant_checks_survive_optimize_flag():
         check("hull_label", lambda: hull.hull_of_points(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)]))
         linalg.solve = lambda rows, rhs: None
         check("hull_frame", lambda: hull.hull_of_points(2, [(0, 0), (1, 0), (0, 1)]))
-        check("cone_cell", lambda: subdivisions.dual_subdivision(R, (1, 1)))
+        linalg.solve = real_solve
+        check("cone_cell", lambda: subdivisions._cone_cell(R, (1, 1), [(1, 0), (2, 0)]))
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
@@ -536,3 +543,128 @@ def test_label_rows_agree_with_every_reader(case):
         want = [x for x in box if inside(x)]
         assert scan_box(lo, hi, rows) == want
         assert count_box(lo, hi, rows) == len(want)
+
+
+# -- the integer face build against one elimination per subset ---------------------
+
+
+@st.composite
+def _varied_polyhedra(draw):
+    """Polyhedra in dimension 1-4 with up to 10 labels, duplicate, weighted,
+    parallel and opposite ones among them, optionally inside a box (bounded)
+    or with every vector in a hyperplane (a line of lineality); some empty."""
+    k = draw(st.integers(1, 4))
+    flat = k > 1 and draw(st.integers(0, 3)) == 0
+    vec = st.lists(st.integers(-3, 3), min_size=k, max_size=k).map(
+        lambda v: v[:-1] + [0] if flat else v).filter(any)
+    offset = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3)))
+    labels = []
+    for _ in range(draw(st.integers(0, 6 - k))):
+        v, r = draw(vec), draw(offset)
+        labels.append(Label(v, r, weighted=not linalg.is_primitive(v)))
+        kin = draw(st.sampled_from(("", "", "duplicate", "weighted", "parallel", "opposite")))
+        if kin == "duplicate":
+            labels.append(labels[-1])
+        elif kin == "weighted":
+            labels.append(Label([2 * x for x in v], 2 * r, weighted=True))
+        elif kin == "parallel":
+            labels.append(Label(v, draw(offset), weighted=labels[-1].weighted))
+        elif kin == "opposite":
+            labels.append(Label([-x for x in v], draw(offset), weighted=labels[-1].weighted))
+    if draw(st.booleans()):
+        s = draw(st.integers(1, 3))
+        for i in range(k - flat):
+            e = [int(i == j) for j in range(k)]
+            labels += [Label(e, -s), Label([-x for x in e], -s)]
+    return LabelledPolyhedron(k, draw(st.permutations(labels)))
+
+
+def _exact_types(gens, faces) -> bool:
+    """Points and samples hold ``Fraction``s; rays, lineality and bases ints."""
+    fracs = [x for _, p in gens.points for x in p] + [x for f in faces for x in f.sample]
+    ints = ([x for _, u in gens.rays for x in u] + [x for u in gens.lineality for x in u]
+            + [x for f in faces for u in f.affine_basis for x in u])
+    return (all(type(x) is Fraction for x in fracs)
+            and all(type(x) is int for x in ints))
+
+
+def _assert_matches_kernel_oracle(P):
+    gens, faces = P.generators(), P.face_lattice()
+    assert gens == generators_by_kernels(P)
+    assert faces == faces_by_kernels(P)
+    assert _exact_types(gens, faces)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_varied_polyhedra())
+@example(unit_cube())
+@example(egyptian_pyramid())
+@example(weighted_triangle())
+@example(doubled_interval())
+@example(LabelledPolyhedron(2, []))
+@example(LabelledPolyhedron(1, [label(1, 1), label(-1, 0)]))  # empty
+@example(LabelledPolyhedron(3, [label(1, 0, 0, 0), label(-1, 0, 0, -1), label(0, 1, 0, 0)]))
+def test_faces_match_kernel_oracle(P):
+    """Generators, in order, and faces, with samples and bases, are the ones
+    of one ``kernel_basis`` or ``solve_unique`` per label subset and one
+    ``kernel_basis`` per face."""
+    _assert_matches_kernel_oracle(P)
+
+
+def _dual_cells(seed, count):
+    for name in ("A2", "B2", "G2", "A3"):
+        R = rootsys.root_system(name)
+        for lam in seeded_dominant_points(R, seed, count):
+            yield from dual_subdivision(R, lam).cells
+
+
+def test_dual_subdivision_faces_match_kernel_oracle():
+    cells = list(_dual_cells(5, 2))
+    assert len(cells) == 2 * (9 + 9 + 9 + 27)
+    for cell in cells:
+        _assert_matches_kernel_oracle(cell)
+
+
+def _parallel(a, b) -> bool:
+    return all(a[i] * b[j] == a[j] * b[i] for i, j in itertools.combinations(range(len(a)), 2))
+
+
+def _count_eliminations(monkeypatch):
+    """[(name, rows)] of every call to the ``linalg`` functions that eliminate."""
+    calls = []
+    for name in ("kernel_basis", "solve_scaled", "signed_minors", "solve", "rank"):
+        def wrapper(m, *args, name=name, fn=getattr(linalg, name), **kwargs):
+            calls.append((name, [tuple(row) for row in m]))
+            return fn(m, *args, **kwargs)
+        monkeypatch.setattr(linalg, name, wrapper)
+    return calls
+
+
+def test_elimination_budget(monkeypatch):
+    """A pointed polyhedron whose labels span computes no lineality space;
+    no label subset holding two parallel vectors reaches an elimination; and
+    only faces of dimension 2 or more call ``kernel_basis``: one call each,
+    on the face's tight label vectors."""
+    polys = [unit_cube()] + list(_dual_cells(5, 1))
+    calls = _count_eliminations(monkeypatch)
+    per_cube = []
+    for P in polys:
+        P = LabelledPolyhedron(P.dim, P.labels)
+        calls.clear()
+        gens = P.generators()
+        assert not gens.lineality
+        names = [name for name, _ in calls]
+        assert "kernel_basis" not in names
+        for name, rows in calls:
+            assert name in ("solve_scaled", "signed_minors")
+            vecs = [row[:P.dim] for row in rows]
+            assert not any(_parallel(a, b) for a, b in itertools.combinations(vecs, 2)), rows
+        per_cube.append(sorted(names))
+        calls.clear()
+        faces = P.face_lattice()
+        big = sorted([P.labels[i].v for i in sorted(f.tight)] for f in faces if f.dim >= 2)
+        assert all(name == "kernel_basis" for name, _ in calls)
+        assert sorted(rows for _, rows in calls) == big
+    # the cube: 8 vertices from the 8 subsets with one label per axis, one
+    # minor vector per axis direction, and 7 faces of dimension 2 or 3
+    assert per_cube[0] == ["signed_minors"] * 3 + ["solve_scaled"] * 8
