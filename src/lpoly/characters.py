@@ -15,7 +15,7 @@ from functools import lru_cache
 from . import counting, linalg, rootsys
 from .hull import hull_of_points
 from .linalg import InvariantError
-from .polyhedra import LabelledPolyhedron, dilate
+from .polyhedra import Label, LabelledPolyhedron, dilate
 from .report import Report
 from .rootsys import RootSystem, act, induce, root_system
 
@@ -298,11 +298,9 @@ def verify_vergne() -> Report:
     the closed-form reflection at the top of the moment interval gives
     -chi_0 directly.  Both must land on the same one-term character.
     """
-    from .polyhedra import Label as _Label
-
     R = root_system("A1")
     rep = Report("vergne example")
-    seg = LabelledPolyhedron(1, [_Label((1,), Fraction(0)), _Label((-1,), Fraction(-2))])
+    seg = LabelledPolyhedron(1, [Label((1,), Fraction(0)), Label((-1,), Fraction(-2))])
     char = counting.toric_rr(seg, -1)
     total = sum(char.values())
     rep.add(f"toric-dual-character: {format_tcharacter(char) or '(empty)'}")
@@ -323,14 +321,12 @@ def verify_vergne() -> Report:
 
 
 def _point_polytope(coords):
-    from .polyhedra import Label as _Label
-
     k = len(coords)
     labs = []
     for i in range(k):
         e = tuple(1 if j == i else 0 for j in range(k))
-        labs.append(_Label(e, Fraction(coords[i])))
-        labs.append(_Label(tuple(-x for x in e), -Fraction(coords[i])))
+        labs.append(Label(e, Fraction(coords[i])))
+        labs.append(Label(tuple(-x for x in e), -Fraction(coords[i])))
     return LabelledPolyhedron(k, labs)
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import linalg
 from ._kernels import count_box, scan_box
 from .linalg import InvariantError
-from .polyhedra import Face, LabelledPolyhedron, _rows, dilate, format_rational
+from .polyhedra import Face, LabelledPolyhedron, _rows, dilate, format_rational, is_simply_laced
 
 
 @dataclass(frozen=True)
@@ -122,11 +122,7 @@ def toric_rr(P: LabelledPolyhedron, m: int) -> dict:
 
 def vertex_denominator_lcm(P: LabelledPolyhedron) -> int:
     """Smallest l such that l*P has integral vertices."""
-    out = 1
-    for v in P.vertices():
-        for c in v:
-            out = out * c.denominator // math.gcd(out, c.denominator)
-    return out
+    return math.lcm(*(c.denominator for v in P.vertices() for c in v))
 
 
 def _fit_residue(ms, values, degree):
@@ -201,19 +197,11 @@ def _zpow(z, w) -> Fraction:
 
 def edge_directions(P: LabelledPolyhedron, vertex: Face):
     """Primitive directions of the edges leaving a vertex: toward the edge's
-    other vertex, or along its ray."""
-    gens = P.generators()
-    dirs = []
-    for f in P.face_lattice():
-        if f.dim != 1 or not (vertex.tight >= f.tight):
-            continue
-        points, rays, _ = gens.of_face(f.tight)
-        ends = [x for _, x in points if x != vertex.sample]
-        if ends:
-            dirs.append(linalg.clear_denominators(linalg.vsub(ends[0], vertex.sample)))
-        else:
-            dirs.append(rays[0][1])
-    return dirs
+    other vertex, or along its ray.  An edge's sample is the midpoint of its
+    two vertices, or the vertex plus its ray, so either way the direction is
+    the sample minus the vertex."""
+    return [linalg.clear_denominators(linalg.vsub(f.sample, vertex.sample))
+            for f in P.face_lattice() if f.dim == 1 and vertex.tight >= f.tight]
 
 
 def brion_evaluate(P: LabelledPolyhedron, z) -> Fraction:
@@ -224,8 +212,6 @@ def brion_evaluate(P: LabelledPolyhedron, z) -> Fraction:
     vertex cone is unimodular, so P must be simply laced; a simple polytope
     with a cone that is not unimodular raises ValueError.
     """
-    from .polyhedra import is_simply_laced
-
     _require_bounded(P)
     if P.is_empty():
         raise ValueError("empty polyhedron")

@@ -210,9 +210,7 @@ def shift_desingularization(P: LabelledPolyhedron, eta=None) -> LabelledPolyhedr
             raise ValueError("empty shift")
         return shifted
 
-    denom = 1
-    for lab in P.labels:
-        denom = denom * lab.r.denominator // math.gcd(denom, lab.r.denominator)
+    denom = math.lcm(*(lab.r.denominator for lab in P.labels))
     primes = _first_primes(n)
     for power in range(1, 9):
         delta = Fraction(1, denom)

@@ -176,10 +176,6 @@ class LabelledPolyhedron:
 
     # -- membership ------------------------------------------------------
 
-    def slack(self, i: int, x) -> Fraction:
-        lab = self.labels[i]
-        return linalg.dot(x, lab.v) - lab.r
-
     def _signs(self, X, d) -> list[int]:
         """Per label, ``<X, c> + k * d``: the sign of its slack at the point
         X/d given by ``_scaled``."""

@@ -3,6 +3,14 @@
 Weights are integer vectors of pairings with the simple coroots, so
 dominance is coordinatewise nonnegativity and every Weyl element is an
 exact integer matrix.  Supported types are A1, A2, A3, B2 and G2.
+
+Everything comes from the simple reflections s_j: nu -> nu - nu_j * (column
+j of the Cartan matrix).  W and its parabolic subgroups are their closures
+from the identity, breadth first, with lengths; the positive roots are the
+simple roots' closure under the reflections that keep the coroot (the pairing
+functional, in simple-coroot coordinates) nonnegative.  ``induce`` reflects
+mu + rho in its first negative coordinate until it is dominant: it is singular
+iff a coordinate is then 0, and the sign is the parity of the reflections.
 """
 
 from __future__ import annotations
@@ -46,10 +54,7 @@ class RootSystem:
     simple_reflections: tuple[Matrix, ...]
     positive_roots: tuple[Root, ...]
     w0_index: int
-
-    @property
-    def rho(self) -> Weight:
-        return tuple(1 for _ in range(self.rank))
+    rho: Weight
 
     @property
     def w0(self) -> Matrix:
@@ -60,76 +65,65 @@ def act(w: Matrix, mu) -> tuple:
     return tuple(sum(row[j] * mu[j] for j in range(len(mu))) for row in w)
 
 
+def _generate(gens, k: int) -> dict:
+    """{element: length} of the group the k x k matrices ``gens`` generate,
+    breadth first from the identity."""
+    ident = linalg.identity(k)
+    lengths = {ident: 0}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for s in gens:
+                cand = linalg.mat_mul(s, w)
+                if cand not in lengths:
+                    lengths[cand] = lengths[w] + 1
+                    nxt.append(cand)
+        frontier = nxt
+    return lengths
+
+
+def _positive_roots(cartan) -> tuple[Root, ...]:
+    """The simple roots' closure under the simple reflections that keep the
+    coroot f nonnegative: s_i takes coords b to b - b_i alpha_i and f to
+    f - (sum_j f_j cartan[j][i]) e_i."""
+    k = len(cartan)
+    found = {tuple(row[j] for row in cartan): tuple(int(i == j) for i in range(k))
+             for j in range(k)}
+    frontier = list(found.items())
+    while frontier:
+        nxt = []
+        for b, f in frontier:
+            for i in range(k):
+                c = sum(f[j] * cartan[j][i] for j in range(k))
+                g = tuple(x - c if j == i else x for j, x in enumerate(f))
+                root = tuple(x - b[i] * row[i] for x, row in zip(b, cartan))
+                if min(g) >= 0 and root not in found:
+                    found[root] = g
+                    nxt.append((root, g))
+        frontier = nxt
+    return tuple(Root(b, f) for b, f in sorted(found.items()))
+
+
 @lru_cache(maxsize=None)
 def root_system(name: str) -> RootSystem:
     if name not in _CARTAN:
         raise ValueError(f"unsupported type {name!r}; choose from {sorted(_CARTAN)}")
     cartan = _CARTAN[name]
     k = len(cartan)
-    simples = []
-    for j in range(k):
-        s = [[1 if i == l else 0 for l in range(k)] for i in range(k)]
-        for i in range(k):
-            s[i][j] -= cartan[i][j]
-        simples.append(tuple(tuple(row) for row in s))
-    simples = tuple(simples)
-
-    ident = linalg.identity(k)
-    lengths = {ident: 0}
-    frontier = [ident]
-    order = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in simples:
-                cand = linalg.mat_mul(s, w)
-                if cand not in lengths:
-                    lengths[cand] = lengths[w] + 1
-                    nxt.append(cand)
-                    order.append(cand)
-        frontier = nxt
-    elements = tuple(sorted(order, key=lambda w: (lengths[w], w)))
+    # s_j is the identity minus the Cartan matrix's column j, put in column j
+    simples = tuple(tuple(tuple(int(i == l) - (l == j) * cartan[i][j] for l in range(k))
+                          for i in range(k)) for j in range(k))
+    lengths = _generate(simples, k)
+    elements = tuple(sorted(lengths, key=lambda w: (lengths[w], w)))
     length_list = tuple(lengths[w] for w in elements)
     if len(elements) != _ORDER[name]:
         raise InvariantError(f"Weyl group of {name} has the wrong order")
-    w0_index = max(range(len(elements)), key=lambda i: length_list[i])
-
-    # positive roots with their coroot pairing functionals
-    inv = {}
-    for w in elements:
-        for g in elements:
-            if linalg.mat_mul(w, g) == ident:
-                inv[w] = g
-                break
-    roots = {}
-    for w in elements:
-        winv = inv[w]
-        for j in range(k):
-            alpha = tuple(cartan[i][j] for i in range(k))
-            coords = act(w, alpha)
-            if coords not in roots:
-                roots[coords] = winv[j]
-    cartan_cols = [[Fraction(cartan[i][j]) for j in range(k)] for i in range(k)]
-    positive = []
-    for coords, pairing in sorted(roots.items()):
-        c = linalg.solve(cartan_cols, list(coords))
-        if c is None:
-            raise InvariantError("root outside the span of the simple roots")
-        if all(x >= 0 for x in c):
-            positive.append(Root(coords, tuple(pairing)))
+    positive = _positive_roots(cartan)
     if len(positive) != max(length_list):
         raise InvariantError("positive root count differs from the length of w0")
-
-    return RootSystem(
-        name,
-        k,
-        cartan,
-        elements,
-        length_list,
-        simples,
-        tuple(positive),
-        w0_index,
-    )
+    return RootSystem(name, k, cartan, elements, length_list, simples, positive,
+                      length_list.index(max(length_list)), (1,) * k)
 
 
 def weyl_group(R: RootSystem):
@@ -162,18 +156,19 @@ def induce(R: RootSystem, mu):
 
     Returns (sign, dominant weight) or (0, None) when mu + rho is singular.
     """
-    nu = list(m + r for m, r in zip(mu, R.rho))
-    if not is_regular(R, nu):
-        return (0, None)
+    rho = R.rho
+    nu = [m + r for m, r in zip(mu, rho)]
     flips = 0
     while True:
-        j = next((i for i in range(R.rank) if nu[i] < 0), None)
+        j = next((i for i, x in enumerate(nu) if x < 0), None)
         if j is None:
             break
-        nu = list(act(R.simple_reflections[j], nu))
+        c = nu[j]
+        nu = [x - c * row[j] for x, row in zip(nu, R.cartan)]
         flips += 1
-    sign = -1 if flips % 2 else 1
-    return (sign, tuple(n - r for n, r in zip(nu, R.rho)))
+    if 0 in nu:
+        return (0, None)
+    return (-1 if flips % 2 else 1, tuple(n - r for n, r in zip(nu, rho)))
 
 
 def star(R: RootSystem, mu) -> tuple:
@@ -182,10 +177,7 @@ def star(R: RootSystem, mu) -> tuple:
 
 def walls(R: RootSystem):
     """All open walls of the dominant chamber, as coordinate supports."""
-    out = []
-    for mask in range(1 << R.rank):
-        out.append(frozenset(i for i in range(R.rank) if mask >> i & 1))
-    return out
+    return [frozenset(i for i in range(R.rank) if mask >> i & 1) for mask in range(1 << R.rank)]
 
 
 def wall_data(R: RootSystem, support):
@@ -196,25 +188,11 @@ def wall_data(R: RootSystem, support):
     # i.e. its coroot pairing with every lambda_i (i in support) is zero
     sub = [a for a in R.positive_roots
            if all(a.coroot_pairing[i] == 0 for i in support)]
-    rho_sigma = tuple(
-        sum((Fraction(a.coords[c]) for a in sub), Fraction(0)) / 2
-        for c in range(R.rank)
-    )
-    gens = [R.simple_reflections[j] for j in range(R.rank) if j not in support]
-    ident = linalg.identity(R.rank)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                cand = linalg.mat_mul(s, w)
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    w_sigma = max(seen, key=lambda w: R.lengths[R.elements.index(w)])
-    return rho_sigma, w_sigma
+    rho_sigma = tuple(Fraction(sum(a.coords[c] for a in sub), 2) for c in range(R.rank))
+    # the longest element: unique, and as long in the subgroup as in W
+    lengths = _generate([R.simple_reflections[j] for j in range(R.rank) if j not in support],
+                        R.rank)
+    return rho_sigma, max(lengths, key=lengths.get)
 
 
 def support_of(mu) -> frozenset:
@@ -233,9 +211,7 @@ def reflect(R: RootSystem, lam):
         raise ValueError("weight must be dominant")
     sigma = support_of(lam)
     rho_sigma, w_sigma = wall_data(R, sigma)
-    shifted = tuple(
-        Fraction(l) - 2 * (1 - rs) for l, rs in zip(lam, rho_sigma)
-    )
+    shifted = tuple(Fraction(l) - 2 * (1 - rs) for l, rs in zip(lam, rho_sigma))
     lam_minus_rho = tuple(l - r for l, r in zip(lam, R.rho))
     if not is_regular(R, lam_minus_rho):
         # the dominance criterion must fail too (the conditions are equivalent)
@@ -256,27 +232,26 @@ def reflect(R: RootSystem, lam):
 
 def principal_wall(R: RootSystem, points) -> frozenset:
     """Smallest wall whose closure contains every (dominant) point."""
-    support = set()
     pts = list(points)
     if not pts:
         raise ValueError("empty point set")
     for p in pts:
         if any(x < 0 for x in p):
             raise ValueError(f"point {tuple(p)} is not dominant")
-        support |= {i for i, x in enumerate(p) if x > 0}
-    return frozenset(support)
+    return frozenset().union(*map(support_of, pts))
 
 
 def weyl_dimension(R: RootSystem, mu) -> int:
     if not is_dominant(mu):
         raise ValueError("weight must be dominant")
-    num = Fraction(1)
+    num = den = 1
     shifted = tuple(m + r for m, r in zip(mu, R.rho))
     for a in R.positive_roots:
-        num *= Fraction(coroot_pairing(a, shifted), coroot_pairing(a, R.rho))
-    if num.denominator != 1:
+        num *= coroot_pairing(a, shifted)
+        den *= coroot_pairing(a, R.rho)
+    if num % den:
         raise InvariantError("Weyl dimension formula gave a non-integer")
-    return int(num)
+    return num // den
 
 
 def dual_support_bound(R: RootSystem, delta, nu) -> bool:

@@ -148,6 +148,16 @@ def test_shift_auto_inputs():
         assert facet_normals(shifted) <= {lab.v for lab in P.labels}
 
 
+def test_shift_auto_starts_at_the_offsets_denominator():
+    """The first auto shift is -p_i / l, l the lcm of the offsets'
+    denominators: on a simple triangle with offsets 1/2, 1/3, -5 it is taken."""
+    P = LabelledPolyhedron(2, [label(1, 0, Fraction(1, 2)), label(0, 1, Fraction(1, 3)),
+                               label(-1, -1, -5)])
+    shifted = shift_desingularization(P)
+    assert [lab.r for lab in shifted.labels] == [
+        lab.r - Fraction(p, 6) for lab, p in zip(P.labels, (2, 3, 5))]
+
+
 def test_shift_auto_pyramid_splits_apex():
     P = egyptian_pyramid()
     shifted = shift_desingularization(P)

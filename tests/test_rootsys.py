@@ -20,6 +20,7 @@ from lpoly.rootsys import (
     weyl_dimension,
     weyl_group,
 )
+from oracles import root_system_by_inverses, wall_data_by_search
 
 ALL_TYPES = ["A1", "A2", "A3", "B2", "G2"]
 
@@ -86,11 +87,26 @@ def test_induce_a1_examples():
 
 
 def test_induce_matches_brute_force():
+    """Integer weights out to +-8 below rank 3 and +-4 for A3, and
+    half-integer ``Fraction`` weights."""
     for name in ALL_TYPES:
         R = root_system(name)
-        rng = range(-5, 6) if R.rank == 1 else range(-4, 5)
-        for mu in itertools.product(rng, repeat=R.rank):
+        rng = range(-8, 9) if R.rank <= 2 else range(-4, 5)
+        halves = [Fraction(n, 2) for n in (range(-5, 6) if R.rank <= 2 else (-3, -1, 0, 1, 3))]
+        for mu in [*itertools.product(rng, repeat=R.rank),
+                   *itertools.product(halves, repeat=R.rank)]:
             assert induce(R, mu) == brute_induce(R, mu)
+
+
+def test_reflection_closures_match_inverse_search():
+    """Every field (elements, lengths, simple reflections, positive roots with
+    their coroot pairings, w0_index, rho) and the wall data of every wall
+    equal those of the inverse-search construction."""
+    for name in ALL_TYPES:
+        R, want = root_system(name), root_system_by_inverses(name)
+        assert vars(R) == vars(want)
+        for sigma in walls(R):
+            assert wall_data(R, sigma) == wall_data_by_search(R, sigma)
 
 
 def test_induce_zero_iff_stabilized():

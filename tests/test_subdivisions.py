@@ -27,7 +27,7 @@ from lpoly.subdivisions import (
     validate,
 )
 from conftest import egyptian_pyramid, segment, unit_square
-from oracles import closed_face, flipped, is_subset, same_set
+from oracles import closed_face, flipped, is_subset, same_set, slack
 
 
 def axis_split(k: int, axis: int, value) -> Subdivision:
@@ -715,7 +715,7 @@ def test_integer_membership_matches_slack():
         eq = P.implicit_equalities() if not P.is_empty() else frozenset()
         n = len(P.labels)
         for x in points:
-            slacks = [P.slack(i, x) for i in range(n)]
+            slacks = [slack(P, i, x) for i in range(n)]
             assert P.contains(x, "closed") == all(s >= 0 for s in slacks)
             assert P.tight_at(x) == frozenset(i for i in range(n) if slacks[i] == 0)
             if not P.is_empty():
