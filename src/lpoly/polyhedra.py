@@ -13,14 +13,17 @@ from label subsets with no two parallel vectors (``_compute_generators``).
 Each face is the closure of the generators its tight labels bind on, which
 copes with duplicated labels, redundant labels, lower-dimensional, unbounded
 and line-containing polyhedra alike.  A vertex, an edge or a ray from a
-vertex takes its basis without elimination.
+vertex takes its basis without elimination.  ``minimalize`` reads the same
+generators: a label's hyperplane meets P exactly when the label is tight at
+a generator point, so no feasibility test is needed.
 
 Every half-space system is read off one integer row per label: ``row =
 (c, k)`` with ``c = r.den * v`` and ``k = -r.num``, so the label is ``<x, c>
 + k >= 0``.  Membership scales a point x once to integers X = d*x, and the
 sign of label i's slack at x is the sign of ``<X, c> + k * d``.  ``_rows``
 turns the labels into the ``(c, k, strict)`` rows of Fourier-Motzkin
-feasibility and of the lattice kernels; nothing else builds them.
+feasibility (in ``subdivisions``) and of the lattice kernels; nothing else
+builds them.
 """
 from __future__ import annotations
 
@@ -32,7 +35,6 @@ from operator import mul
 from typing import NamedTuple
 
 from . import linalg
-from ._feasible import feasible_point
 from .linalg import InvariantError, _scaled
 
 Point = tuple[Fraction, ...]
@@ -442,16 +444,17 @@ def structure_group_order(P: LabelledPolyhedron, F: Face) -> int:
 
 
 def minimalize(P: LabelledPolyhedron) -> LabelledPolyhedron:
-    """Drop every label whose hyperplane misses the polyhedron entirely."""
-    if P.is_empty():
+    """Drop every label whose hyperplane misses the polyhedron entirely.
+
+    A label's trace on P is a face, and every nonempty face holds a minimal
+    face, so the hyperplane meets P exactly when the label is tight at one
+    of P's generator points.  An empty P is returned unchanged.
+    """
+    points = P.generators().points
+    if not points:
         return P
-    base = _rows(P)
-    keep = []
-    for lab in P.labels:
-        # hyperplane of the label touches P iff <x, v> <= r is also attainable
-        if feasible_point(base + [_opposite(lab, False)], P.dim) is not None:
-            keep.append(lab)
-    return LabelledPolyhedron(P.dim, keep)
+    touched = frozenset().union(*(t for t, _ in points))
+    return LabelledPolyhedron(P.dim, [lab for i, lab in enumerate(P.labels) if i in touched])
 
 
 def intersect(P: LabelledPolyhedron, Q: LabelledPolyhedron) -> LabelledPolyhedron:

@@ -383,9 +383,9 @@ def _cone_cell(R: RootSystem, apex, gens) -> LabelledPolyhedron:
             ui = linalg.primitive(w)
             labels.append(Label(ui, Fraction(linalg.dot(A, ui), d)))
         else:
+            # v is primitive and its tail is zero, so w is primitive
             r = Fraction(linalg.dot(A, w), d)
-            labels.append(Label(w, r, weighted=not linalg.is_primitive(w)))
-            labels.append(Label(tuple(-x for x in w), -r, weighted=not linalg.is_primitive(w)))
+            labels += [Label(w, r), Label(tuple(-x for x in w), -r)]
     return LabelledPolyhedron(k, labels)
 
 

@@ -10,6 +10,12 @@ tight sets and generator keys.
 route to face lattices: one elimination per label subset and per face, in
 ``Fraction`` arithmetic, against which the integer build is checked.
 
+``hull_by_frames`` and ``minimalize_by_probes`` are the independent routes
+to hulls and minimalization: facets by one ``kernel_basis`` per point subset
+in an affine frame (affine dimension 3 at most), and one Fourier-Motzkin
+probe per label; the polar-cone hull and the generator-tight-set
+minimalization are checked against them.
+
 ``root_system_by_inverses`` and ``wall_data_by_search`` are the independent
 route to root systems: each Weyl element inverted by search, roots read off
 the group with ``linalg.solve`` deciding positivity, and each wall's longest
@@ -152,6 +158,101 @@ def faces_by_kernels(P: LabelledPolyhedron) -> list[Face]:
         basis = tuple(linalg.kernel_basis([P.labels[i].v for i in sorted(S)], cols=P.dim))
         faces.append(Face(S, len(basis), basis, tuple(sample), not rays and not gens.lineality))
     return sorted(faces, key=Face.sort_key)
+
+
+# -- hulls by affine frames, minimalization by probes --------------------------
+
+
+def _affine_basis(points):
+    """(base point, independent direction list) spanning the affine hull."""
+    base = points[0]
+    dirs = []
+    for p in points[1:]:
+        d = linalg.vsub(p, base)
+        if linalg.rank([list(x) for x in dirs + [d]]) == len(dirs) + 1:
+            dirs.append(d)
+    return base, dirs
+
+
+def hull_by_frames(ambient_dim: int, points):
+    """``hull.hull_of_points`` by the enumeration it replaces: frame
+    coordinates in the affine hull, one ``kernel_basis`` per d-subset of the
+    points for a candidate facet, and each facet normal pulled back from the
+    frame by ``linalg.solve``.  Facet labels come in the sorted order of the
+    frame normals.  Affine dimension 3 at most."""
+    pts = sorted({tuple(Fraction(x) for x in p) for p in points})
+    if not pts:
+        raise ValueError("empty point set")
+    k = ambient_dim
+    base, dirs = _affine_basis(pts)
+    d = len(dirs)
+    labels: list[Label] = []
+
+    # affine-hull equalities as label pairs
+    if d < k:
+        for w in linalg.kernel_basis([list(x) for x in dirs], cols=k):
+            r = linalg.dot(base, w)
+            labels.append(Label(w, r, weighted=not linalg.is_primitive(w)))
+            labels.append(Label(tuple(-x for x in w), -r, weighted=not linalg.is_primitive(w)))
+
+    if d == 0:
+        return LabelledPolyhedron(k, labels), list(pts)
+    if d > 3:
+        raise ValueError("hull supported in affine dimension <= 3 only")
+
+    # coordinates of every point in the affine frame
+    dmat = [[Fraction(dirs[j][c]) for j in range(d)] for c in range(k)]
+    coords = []
+    for p in pts:
+        c = linalg.solve(dmat, list(linalg.vsub(p, base)))
+        if c is None:
+            raise InvariantError("point outside the affine hull of the frame")
+        coords.append(c)
+
+    facets = set()
+    for subset in combinations(range(len(pts)), d):
+        rows = [list(linalg.vsub(coords[i], coords[subset[0]])) for i in subset[1:]]
+        normals = linalg.kernel_basis(rows, cols=d)
+        if len(normals) != 1:
+            continue
+        n = normals[0]
+        c0 = linalg.dot(coords[subset[0]], n)
+        sides = {linalg.dot(c, n) - c0 for c in coords}
+        if all(s >= 0 for s in sides):
+            facets.add((n, c0))
+        elif all(s <= 0 for s in sides):
+            facets.add((tuple(-x for x in n), -c0))
+
+    pairing_rows = [list(x) for x in dirs]
+    for n, c0 in sorted(facets):
+        # pull the frame normal back to an ambient label: any w with
+        # <dirs_j, w> = n_j gives the same functional on the affine hull
+        w = linalg.solve(pairing_rows, list(n))
+        if w is None:
+            raise InvariantError("frame normal has no ambient label")
+        wi = linalg.clear_denominators(w)
+        # wi = s * w for s > 0; read s off a nonzero entry
+        j = next(i for i, x in enumerate(w) if x)
+        r = linalg.dot(base, wi) + Fraction(c0) * wi[j] / w[j]
+        labels.append(Label(wi, r))
+
+    P = LabelledPolyhedron(k, labels)
+    verts = [f.sample for f in P.face_lattice() if f.dim == 0]
+    vert_set = set(verts)
+    if not vert_set <= set(pts):
+        raise InvariantError("hull vertex is not an input point")
+    return P, sorted(vert_set)
+
+
+def minimalize_by_probes(P: LabelledPolyhedron) -> LabelledPolyhedron:
+    """``polyhedra.minimalize`` by one Fourier-Motzkin probe per label: the
+    label's hyperplane touches P iff <x, v> <= r is also attainable on P."""
+    if P.is_empty():
+        return P
+    base = _rows(P)
+    return LabelledPolyhedron(P.dim, [
+        lab for lab in P.labels
+        if feasible_point(base + [_opposite(lab, False)], P.dim) is not None])
 
 
 # -- root systems by inverse search and rational solves ------------------------

@@ -1,7 +1,10 @@
 import io
+import time
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lpoly.cli import main
 from lpoly.polyhedra import format_lpoly, parse_lpoly
@@ -336,15 +339,22 @@ def test_internal_error_exits_3_without_traceback(pyramid_file, monkeypatch, cap
     assert "Traceback" not in err
 
 
-def test_invariant_error_exits_3(pyramid_file, monkeypatch, capsys):
+def test_invariant_error_exits_3(square_file, tmp_path, monkeypatch, capsys):
     """A failed invariant is a bug, not an input error: exit 3, one
-    ``internal:`` line naming where it was raised."""
+    ``internal:`` line naming where it was raised.  ``verify glue`` on files
+    reaches Fourier-Motzkin through ``is_admissible``."""
     from fractions import Fraction
 
     from lpoly import _feasible
 
-    monkeypatch.setattr(_feasible, "_back_substitute", lambda levels: (Fraction(-1),) * 3)
-    code, out = run(["polytope", "minimalize", "--in", pyramid_file])
+    sub = tmp_path / "split.sub"
+    sub.write_text(
+        "dim 2\nlabel -1 0 ; -1/3\n---\n"
+        "dim 2\nlabel 1 0 ; 1/3\nlabel -1 0 ; -1/3\n---\n"
+        "dim 2\nlabel 1 0 ; 1/3\n"
+    )
+    monkeypatch.setattr(_feasible, "_back_substitute", lambda levels: (Fraction(-1),) * 2)
+    code, out = run(["verify", "glue", "--delta", square_file, "--subdivision", str(sub)])
     err = capsys.readouterr().err
     assert code == 3
     assert out == ""
@@ -371,3 +381,104 @@ def test_no_floats_anywhere(pyramid_file):
     ):
         _, out = run(argv)
         assert "." not in out.replace(".lpoly", "")
+
+
+# -- the exit-code contract on random input ------------------------------------------
+# A value that may start with '-' follows its flag after '=', or argparse would
+# read it as a flag.
+
+
+@st.composite
+def _lpoly_texts(draw):
+    """Small .lpoly files in dimension 1-3, most of them inside a box:
+    bounded and unbounded, empty and lower-dimensional polyhedra with
+    duplicate, parallel and opposite labels, and now and then a line the
+    parser rejects."""
+    k = draw(st.integers(1, 3))
+    rows = [(draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k).filter(any)),
+             f"{draw(st.integers(-4, 4))}/{draw(st.sampled_from((1, 1, 2, 3)))}")
+            for _ in range(draw(st.integers(0, 4)))]
+    if draw(st.integers(0, 3)):
+        s = draw(st.integers(0, 2))
+        for i in range(k):
+            e = [int(i == j) for j in range(k)]
+            rows += [(e, -s), ([-x for x in e], -s)]
+    lines = [f"dim {k}"] + [f"label {' '.join(map(str, v))} ; {r}"
+                            for v, r in draw(st.permutations(rows))]
+    # one file in four holds a line the parser rejects
+    bad = draw(st.sampled_from((None,) * 12 + ("dim 0", "label 1 ; x", "labels 1 ; 0", "dim 2")))
+    if bad:
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return k, "\n".join(lines) + "\n"
+
+
+def _rationals(lengths=st.integers(1, 4)):
+    """Comma-separated rationals, as many as ``lengths`` draws."""
+    q = st.builds(lambda p, q: f"{p}/{q}", st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+    return lengths.flatmap(lambda n: st.lists(q, min_size=n, max_size=n)).map(",".join)
+
+
+def _polytope_argvs(draw, k):
+    """Every ``polytope`` verb's arguments, a z of the right length or not."""
+    m = str(draw(st.integers(-1, 3)))
+    return [
+        ["faces"], ["excess"], ["desing"], ["minimalize"], ["orders"],
+        ["shift"] + draw(st.sampled_from(([], ["--eta=" + draw(_rationals())]))),
+        ["count", "-m", m] + draw(st.sampled_from(([], ["--interior"]))),
+        ["rr", "-m", m],
+        ["ehrhart"] + draw(st.sampled_from(([], ["--mmax", m]))),
+        ["reciprocity", "--mmax", m],
+        ["brion", "--z=" + draw(_rationals(st.sampled_from((k, k, k, k + 1))))],
+    ]
+
+
+_WEYL_TYPES = ("A1", "A2", "A3", "B2", "G2", "C2", "A0", "a2", "")
+
+
+@st.composite
+def _weyl_argvs(draw):
+    """One ``weyl`` verb with a known or unknown type and weights of any
+    length from 1 to 4."""
+    kind = draw(st.sampled_from(_WEYL_TYPES))
+    ints = st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(lambda v: ",".join(map(str, v)))
+    verb = draw(st.sampled_from(("group", "action", "induce", "star", "reflect", "wall",
+                                 "principal")))
+    extra = {
+        "group": [],
+        "action": ["--word", draw(st.sampled_from(("", "1", "2,1", "1,3"))), "--mu=" + draw(ints)],
+        "induce": ["--mu=" + draw(ints)],
+        "star": ["--mu=" + draw(ints)],
+        "reflect": ["--lambda=" + draw(ints)],
+        "wall": ["--wall", draw(st.sampled_from(("", "-", "1", "2", "1,2", "3", "x")))],
+        "principal": ["--points=" + ";".join(draw(st.lists(_rationals(), min_size=1, max_size=3)))],
+    }[verb]
+    return ["weyl", verb, "--type", kind] + extra
+
+
+def _assert_contract(argv, capsys):
+    """Exit 0, 1 or 2, no traceback, in under 3 s."""
+    start = time.perf_counter()
+    code, _ = run(argv)
+    took = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err, argv
+    assert took < 3, (argv, took)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_polytope_verbs_keep_the_exit_code_contract(data, tmp_path, capsys):
+    k, text = data.draw(_lpoly_texts())
+    path = tmp_path / "random.lpoly"
+    path.write_text(text)
+    for argv in _polytope_argvs(data.draw, k):
+        _assert_contract(["polytope", argv[0], "--in", str(path)] + argv[1:], capsys)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_weyl_argvs())
+def test_weyl_verbs_keep_the_exit_code_contract(argv, capsys):
+    _assert_contract(argv, capsys)

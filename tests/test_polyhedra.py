@@ -41,7 +41,7 @@ from conftest import (
 )
 from oracles import (
     closed_face, face_join, face_meet, faces_by_kernels, flipped, generators_by_kernels,
-    is_subset, same_set,
+    is_subset, minimalize_by_probes, same_set,
 )
 
 
@@ -424,7 +424,7 @@ def test_invariant_checks_survive_optimize_flag():
     """Broken invariants raise InvariantError even under ``python -O``."""
     code = textwrap.dedent("""
         from fractions import Fraction
-        from lpoly import InvariantError, counting, hull, linalg, rootsys, subdivisions
+        from lpoly import InvariantError, counting, hull, rootsys, subdivisions
         from lpoly.polyhedra import Face, LabelledPolyhedron, label
 
         def check(name, thunk):
@@ -457,13 +457,6 @@ def test_invariant_checks_survive_optimize_flag():
         check("hull_vertices", lambda: hull.hull_of_points(1, [(0,), (1,)]))
         LabelledPolyhedron.face_lattice = real_lattice
 
-        real_solve = linalg.solve
-        # in a plane of 3-space, only the frame-normal solves have rows of length 3
-        linalg.solve = lambda rows, rhs: None if len(rows[0]) == 3 else real_solve(rows, rhs)
-        check("hull_label", lambda: hull.hull_of_points(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)]))
-        linalg.solve = lambda rows, rhs: None
-        check("hull_frame", lambda: hull.hull_of_points(2, [(0, 0), (1, 0), (0, 1)]))
-        linalg.solve = real_solve
         check("cone_cell", lambda: subdivisions._cone_cell(R, (1, 1), [(1, 0), (2, 0)]))
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -475,8 +468,7 @@ def test_invariant_checks_survive_optimize_flag():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == [
-        "top_face", "weyl_dimension", "localization", "hull_vertices",
-        "hull_label", "hull_frame", "cone_cell",
+        "top_face", "weyl_dimension", "localization", "hull_vertices", "cone_cell",
     ]
 
 
@@ -609,6 +601,17 @@ def test_faces_match_kernel_oracle(P):
     of one ``kernel_basis`` or ``solve_unique`` per label subset and one
     ``kernel_basis`` per face."""
     _assert_matches_kernel_oracle(P)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_varied_polyhedra())
+@example(LabelledPolyhedron(2, list(unit_square().labels) + [label(1, 0, -5)]))
+@example(LabelledPolyhedron(2, [label(1, 0, 0), label(1, 0, -1), label(2, 0, -3)]))  # lines
+@example(LabelledPolyhedron(1, [label(1, 1), label(-1, 0), label(1, 5)]))  # empty
+def test_minimalize_matches_probe_oracle(P):
+    """Keeping the labels tight at a generator point keeps exactly the labels
+    whose hyperplane one Fourier-Motzkin probe each finds on P."""
+    assert minimalize(P) == minimalize_by_probes(LabelledPolyhedron(P.dim, P.labels))
 
 
 def _dual_cells(seed, count):
